@@ -12,7 +12,6 @@ import numpy as np
 
 from hardyconj import (
     canonical_conjugation,
-    coefficient_matrix,
     conjugation_from_unitary,
     factor_diagonal,
     phase_conjugation,
@@ -75,6 +74,6 @@ print(f"factorization round trip gap: {np.max(np.abs(round_trip.a_matrix - op.a_
 # columns of the linear factor; for diagonal families that is one phase per
 # monomial.
 # ---------------------------------------------------------------------------
-b = coefficient_matrix(rotation_conjugation(np.exp(1j * theta), 6))
+b = rotation_conjugation(np.exp(1j * theta), 6).a_matrix
 print("\nexpansion coefficients of the rotation twist at N = 6 (diagonal):")
 print(np.round(np.diag(b), 6))

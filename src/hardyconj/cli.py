@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -46,6 +47,17 @@ def _json_arg(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON argument {text!r}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite nonnegative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
 
 
 def _emit_report(report: dict, out, started: float) -> None:
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials=False, band=False, out_required=False, out_help=None):
         p.add_argument("--n", type=int, default=32, help="truncation dimension N")
-        p.add_argument("--tol", type=float, default=1e-10, help="comparison tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-10, help="comparison tolerance")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         if trials:
             p.add_argument("--trials", type=int, default=100, help="number of random trials")
@@ -217,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             required=out_required,
             help=out_help or "write the deterministic report here",
-        )
-        p.add_argument(
-            "--format", choices=["json"], default="json", help="output format (json only)"
         )
 
     p = sub.add_parser("check-conjugation", help="certify the conjugation axioms")
@@ -251,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--zero", default=None, help="JSON complex value for the n = 0 coefficient")
     p.add_argument("--sequence", default=None, help="JSON sequence spec (or @file) for zeta")
-    p.add_argument("--n", type=int, default=32, help="unused, accepted for uniformity")
-    p.add_argument("--tol", type=float, default=1e-10, help="unused, accepted for uniformity")
-    p.add_argument("--seed", type=int, default=0, help="unused, accepted for uniformity")
     p.add_argument("--out", required=True, help="path for the generated symbol file")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(handler=_cmd_gen_symbol)
 
     p = sub.add_parser("explore", help="randomized criterion-versus-oracle probes")

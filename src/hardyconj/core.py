@@ -16,22 +16,10 @@ __all__ = [
     "AntilinearMap",
     "adjoint",
     "apply_antilinear",
-    "apply_linear",
     "as_operator",
-    "as_vector",
     "frobenius_norm",
     "inner_product",
 ]
-
-
-def as_vector(values) -> np.ndarray:
-    """Coerce to a finite, nonempty 1-D complex128 coefficient vector."""
-    f = np.asarray(values, dtype=np.complex128)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError(f"expected a nonempty 1-D coefficient vector, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("coefficient vector contains non-finite entries")
-    return f
 
 
 def as_operator(matrix) -> np.ndarray:
@@ -84,17 +72,6 @@ def apply_antilinear(op: AntilinearMap, f) -> np.ndarray:
     if f.shape != (op.dim,):
         raise ValueError(f"vector has shape {f.shape}, operator dimension is {op.dim}")
     return op.a_matrix @ np.conj(f)
-
-
-def apply_linear(matrix, f) -> np.ndarray:
-    """Matrix-vector product with a dimension check."""
-    t = np.asarray(matrix, dtype=np.complex128)
-    f = np.asarray(f, dtype=np.complex128)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {t.shape}")
-    if f.shape != (t.shape[1],):
-        raise ValueError(f"vector has shape {f.shape}, operator dimension is {t.shape[1]}")
-    return t @ f
 
 
 def adjoint(matrix) -> np.ndarray:

@@ -70,6 +70,13 @@ def emit_complex(z) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _json_list(value, key: str) -> list:
+    """The value stored under ``key``, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f'"{key}" must be a JSON list, got {type(value).__name__}')
+    return value
+
+
 def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
     """Materialize a sequence spec into ``count`` complex entries.
 
@@ -86,7 +93,7 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
         value = parse_complex(spec["constant"])
         return np.full(count, value, dtype=np.complex128)
     if keys == {"thetas"}:
-        thetas = [float(t) for t in spec["thetas"]]
+        thetas = [float(t) for t in _json_list(spec["thetas"], "thetas")]
         if len(thetas) < count:
             raise ValueError(
                 f"sequence entry for index {len(thetas) + start_index} missing: "
@@ -94,7 +101,7 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
             )
         return np.exp(1j * np.asarray(thetas[:count]))
     if keys == {"values"}:
-        values = [parse_complex(v) for v in spec["values"]]
+        values = [parse_complex(v) for v in _json_list(spec["values"], "values")]
         if len(values) < count:
             raise ValueError(
                 f"sequence entry for index {len(values) + start_index} missing: "
@@ -172,7 +179,9 @@ def symbol_from_json(data) -> LaurentSymbol:
         raise ValueError("band must be nonnegative")
     seen = set()
     pairs = {}
-    for entry in data.get("coeffs", []):
+    for entry in _json_list(data.get("coeffs", []), "coeffs"):
+        if not isinstance(entry, dict) or "n" not in entry:
+            raise ValueError(f"symbol coefficient must be an object with an index n, got {entry!r}")
         n = int(entry["n"])
         if abs(n) > band:
             raise ValueError(f"coefficient index {n} exceeds band {band}")

@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conjugations import (
     conjugation_from_unitary,
-    orthonormalize,
+    random_unitary,
     sequence_conjugation,
     squared_powers,
     unimodular,
@@ -172,9 +172,11 @@ def toeplitz_section(symbol: LaurentSymbol, dim: int) -> np.ndarray:
     """N x N finite section with entries c(j - k)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    col = np.array([symbol.coeff(j) for j in range(dim)])
-    row = np.array([symbol.coeff(-k) for k in range(dim)])
-    return scipy.linalg.toeplitz(col, row)
+    # vals[dim - 1 + p] = c(p); row j of the section is vals[dim-1+j] down to vals[j]
+    m = min(symbol.band, dim - 1)
+    vals = np.zeros(2 * dim - 1, dtype=np.complex128)
+    vals[dim - 1 - m : dim + m] = symbol.coeffs[symbol.band - m : symbol.band + m + 1]
+    return sliding_window_view(vals[::-1], dim)[::-1].copy()
 
 
 def multiply_truncate(symbol: LaurentSymbol, f) -> np.ndarray:
@@ -434,18 +436,9 @@ def run_trial(
     rng = np.random.default_rng((seed, trial))
 
     if resolved == "unitary":
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = conjugation_from_unitary(orthonormalize(z))
+        op = conjugation_from_unitary(random_unitary(dim, rng))
         symbol = random_symbol(band, rng)
-        residual = symmetry_residual(op, toeplitz_section(symbol, dim))
-        report = SymmetryReport(
-            residual=residual,
-            window=dim,
-            coeff_condition_holds=None,
-            max_coeff_violation=None,
-            agree=None,
-            tol=tol,
-        )
+        report = symmetry_report(op, symbol, dim, tol, window=dim)
         return ExplorationRecord(trial, (seed, trial), resolved, None, symbol, report)
 
     if resolved == "constant":

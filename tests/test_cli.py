@@ -21,6 +21,12 @@ def stdout_json(out):
     return json.loads(out)
 
 
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 class TestCheckConjugation:
     def test_unit_rotation_passes(self, capsys):
         code, out, _ = run(
@@ -214,6 +220,16 @@ class TestCheckSymmetry:
         )
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize("coeffs", [[5], 5, [{"re": 1.0, "im": 0.0}]])
+    def test_malformed_symbol_file_is_usage_error(self, tmp_path, capsys, coeffs):
+        symbol = tmp_path / "bad.json"
+        symbol.write_text(json.dumps({"schema_version": 1, "band": 1, "coeffs": coeffs}))
+        code, _, err = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", '{"kind":"j"}'], capsys
+        )
+        assert_one_line_usage_error(code, err)
+        assert "coeff" in err
 
     def test_dense_kind_rejected(self, tmp_path, capsys):
         symbol = self.gen(tmp_path, capsys, mirror_im=None)
@@ -441,6 +457,22 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-conjugation", "--kind", "zeta", "--sequence", '{"thetas": 5}'],
+            ["check-conjugation", "--kind", "alpha", "--sequence", '{"values": 5}'],
+            ["check-conjugation", "--kind", "j", "--tol", "-1"],
+            ["check-conjugation", "--kind", "j", "--tol", "nan", "--out", "out.json"],
+            ["explore", "--tol", "inf", "--out", "out.json"],
+        ],
+    )
+    def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(argv, capsys)
+        assert_one_line_usage_error(code, err)
+        assert not (tmp_path / "out.json").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

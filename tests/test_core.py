@@ -7,9 +7,7 @@ from hardyconj import (
     AntilinearMap,
     adjoint,
     apply_antilinear,
-    apply_linear,
     as_operator,
-    as_vector,
     frobenius_norm,
     inner_product,
 )
@@ -77,24 +75,6 @@ class TestApplyAntilinear:
             assert np.linalg.norm(lhs - rhs) <= bound
 
 
-class TestApplyLinear:
-    def test_identity(self):
-        f = np.array([1.0, 2j, -3.0])
-        np.testing.assert_allclose(apply_linear(np.eye(3), f), f)
-
-    def test_projection(self):
-        np.testing.assert_allclose(apply_linear(np.diag([0.0, 1.0]), [5.0, 7.0]), [0.0, 7.0])
-
-    def test_shift_is_multiplication_by_z(self):
-        shift = np.zeros((3, 3))
-        shift[1, 0] = shift[2, 1] = 1.0
-        np.testing.assert_allclose(apply_linear(shift, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            apply_linear(np.eye(3), [1.0, 2.0])
-
-
 class TestAdjoint:
     def test_identity(self):
         np.testing.assert_allclose(adjoint(np.eye(2)), np.eye(2))
@@ -111,8 +91,8 @@ class TestAdjoint:
             t = random_matrix(rng, 12)
             f = random_vector(rng, 12)
             g = random_vector(rng, 12)
-            lhs = inner_product(apply_linear(t, f), g)
-            rhs = inner_product(f, apply_linear(adjoint(t), g))
+            lhs = inner_product(t @ f, g)
+            rhs = inner_product(f, adjoint(t) @ g)
             bound = 1e-10 * frobenius_norm(t) * np.linalg.norm(f) * np.linalg.norm(g)
             assert abs(lhs - rhs) <= bound
 
@@ -129,14 +109,6 @@ class TestFrobeniusNorm:
 
 
 class TestValidation:
-    def test_vector_rejects_nan(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_vector([1.0, np.nan])
-
-    def test_vector_rejects_matrix(self):
-        with pytest.raises(ValueError, match="1-D"):
-            as_vector(np.eye(2))
-
     def test_operator_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             as_operator(np.zeros((2, 3)))

@@ -128,6 +128,15 @@ class TestToeplitzSection:
                     if abs(j - k) > band:
                         assert t[j, k] == 0.0
 
+    @pytest.mark.parametrize(
+        "band,dim", [(0, 1), (3, 1), (0, 5), (3, 4), (5, 3), (4, 24), (8, 8), (8, 512)]
+    )
+    def test_equals_scipy_toeplitz(self, band, dim):
+        sym = random_symbol(band, np.random.default_rng(1000 * band + dim))
+        col = np.array([sym.coeff(j) for j in range(dim)])
+        row = np.array([sym.coeff(-k) for k in range(dim)])
+        np.testing.assert_array_equal(toeplitz_section(sym, dim), scipy.linalg.toeplitz(col, row))
+
     def test_matches_convolution_oracle_on_interior(self):
         rng = np.random.default_rng(47)
         dim = 24
