@@ -140,18 +140,10 @@ def _cmd_check_symmetry(args) -> int:
 def _cmd_gen_symbol(args) -> int:
     started = time.perf_counter()
     entries = _json_arg(args.onesided) if args.onesided else []
-    if not isinstance(entries, list):
-        raise ValueError("--onesided must be a JSON list of {n, re/im or theta} objects")
-    onesided = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "n" not in entry:
-            raise ValueError(f"one-sided entry must carry an index n, got {entry!r}")
-        n = int(entry["n"])
+    onesided = jsonio.parse_indexed_coefficients(entries, "--onesided")
+    for n in onesided:
         if n < 1:
             raise ValueError(f"one-sided coefficient indices start at 1, got {n}")
-        if n in onesided:
-            raise ValueError(f"duplicate one-sided index {n}")
-        onesided[n] = jsonio.parse_complex({k: v for k, v in entry.items() if k != "n"})
     zero_coeff = jsonio.parse_complex(_json_arg(args.zero)) if args.zero else 0.0
     band = max(onesided, default=0)
     zeta = (
@@ -219,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trials=False, band=False, out_required=False, out_help=None):
         p.add_argument("--n", type=int, default=32, help="truncation dimension N")
         p.add_argument("--tol", type=_tolerance, default=1e-10, help="comparison tolerance")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         if trials:
+            p.add_argument("--seed", type=int, default=0, help="random seed")
             p.add_argument("--trials", type=int, default=100, help="number of random trials")
         if band:
             p.add_argument("--band", type=int, default=4, help="symbol band limit M")

@@ -7,8 +7,9 @@ transpose-symmetric, which is what :func:`verify_conjugation` certifies.
 
 The constructors cover the diagonal families (plain coefficient
 conjugation, a rotation twist by a unimodular scalar, an explicit phase
-per coefficient, and squared powers of a unimodular sequence) plus the
-general form U* . conj . U for any unitary U.
+per coefficient, and squared powers of a unimodular sequence), which keep
+A as its vector of diagonal entries, plus the general form U* . conj . U
+for any unitary U, which keeps A dense.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def canonical_conjugation(dim: int) -> AntilinearMap:
     """Entrywise coefficient conjugation, i.e. f(z) -> conj(f(conj(z)))."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return AntilinearMap(np.eye(dim, dtype=np.complex128))
+    return AntilinearMap(np.ones(dim))
 
 
 def rotation_conjugation(lam: complex, dim: int) -> AntilinearMap:
@@ -77,8 +78,7 @@ def rotation_conjugation(lam: complex, dim: int) -> AntilinearMap:
     if dim < 1:
         raise ValueError("dimension must be positive")
     lam = complex(unimodular([lam])[0])
-    diag = np.conj(lam ** np.arange(dim))
-    return AntilinearMap(np.diag(diag))
+    return AntilinearMap(np.conj(lam ** np.arange(dim)))
 
 
 def phase_conjugation(phases) -> AntilinearMap:
@@ -87,8 +87,7 @@ def phase_conjugation(phases) -> AntilinearMap:
     ``phases`` lists the multipliers for coefficients 0 .. N-1; the result
     acts on dimension N = len(phases).
     """
-    alpha = unimodular(phases)
-    return AntilinearMap(np.diag(alpha))
+    return AntilinearMap(unimodular(phases))
 
 
 def squared_powers(zeta) -> np.ndarray:
@@ -110,7 +109,7 @@ def sequence_conjugation(zeta) -> AntilinearMap:
     constant sequence with value w reduces to ``rotation_conjugation(w**2)``.
     """
     z = unimodular(zeta, start_index=1)
-    return AntilinearMap(np.diag(np.conj(squared_powers(z))))
+    return AntilinearMap(np.conj(squared_powers(z)))
 
 
 def sequence_unitary(zeta) -> np.ndarray:

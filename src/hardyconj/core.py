@@ -1,9 +1,11 @@
 """Coefficient-space model of the truncated Hardy space.
 
 A holomorphic function f(z) = sum_n a_n z^n is represented by its first N
-Taylor coefficients as a 1-D complex vector; operators are dense N x N
-complex matrices acting in the monomial basis z^0 .. z^{N-1}. Everything
-here is pure: inputs are never mutated and results are fresh arrays.
+Taylor coefficients as a 1-D complex vector; operators are N x N complex
+matrices acting in the monomial basis z^0 .. z^{N-1}, and an antilinear
+map may keep a diagonal linear factor as the vector of its diagonal.
+Everything here is pure: inputs are never mutated and results are fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -43,24 +45,46 @@ def inner_product(f, g) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class AntilinearMap:
-    """Antilinear operator f -> a_matrix @ conj(f).
+    """Antilinear operator f -> A @ conj(f).
 
-    Every antilinear map on the truncated space factors as a linear matrix
-    following entrywise conjugation. The map satisfies the conjugation
-    axioms (isometric and involutive) exactly when ``a_matrix`` is unitary
-    and transpose-symmetric; see :func:`hardyconj.conjugations.verify_conjugation`.
+    Every antilinear map on the truncated space factors as a linear matrix A
+    following entrywise conjugation. ``factor`` holds A either as a square
+    matrix or, for a diagonal A, as the 1-D vector of its diagonal; the
+    diagonal constructors use the vector form, and :attr:`diagonal` tells
+    the two apart. The map satisfies the conjugation axioms (isometric and
+    involutive) exactly when A is unitary and transpose-symmetric; see
+    :func:`hardyconj.conjugations.verify_conjugation`.
     """
 
-    a_matrix: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self):
-        m = as_operator(self.a_matrix).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "a_matrix", m)
+        f = np.asarray(self.factor, dtype=np.complex128)
+        if f.ndim != 1:
+            f = as_operator(f)
+        elif f.size == 0 or not np.all(np.isfinite(f)):
+            raise ValueError("diagonal factor must be nonempty and finite")
+        f = f.copy()
+        f.setflags(write=False)
+        object.__setattr__(self, "factor", f)
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal of A when the factor is stored as a vector, else None."""
+        return self.factor if self.factor.ndim == 1 else None
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """Dense read-only N x N linear factor A, built on demand for the diagonal form."""
+        if self.factor.ndim == 2:
+            return self.factor
+        a = np.diag(self.factor)
+        a.setflags(write=False)
+        return a
 
     @property
     def dim(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.factor.shape[0]
 
     def __call__(self, f) -> np.ndarray:
         return apply_antilinear(self, f)
@@ -71,7 +95,8 @@ def apply_antilinear(op: AntilinearMap, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (op.dim,):
         raise ValueError(f"vector has shape {f.shape}, operator dimension is {op.dim}")
-    return op.a_matrix @ np.conj(f)
+    d = op.diagonal
+    return op.factor @ np.conj(f) if d is None else d * np.conj(f)
 
 
 def adjoint(matrix) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "json_line",
     "load_symbol",
     "parse_complex",
+    "parse_indexed_coefficients",
     "parse_sequence_spec",
     "record_to_json",
     "report_to_json",
@@ -47,22 +48,39 @@ DIAGONAL_KINDS = ("j", "lambda", "alpha", "zeta")
 CONJUGATION_KINDS = DIAGONAL_KINDS + ("unitary-seed",)
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """``value`` as a float if it is a JSON number, or as an int if ``integer``.
+
+    With ``integer`` only a JSON integer is accepted (an index, band or
+    seed); ``1.5`` is refused rather than truncated. JSON true/false load
+    as bool, a subclass of int, and are refused too.
+    """
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} {value} is too large for a double") from None
+
+
 def parse_complex(obj) -> complex:
     """Parse {"re": x, "im": y}, {"theta": t} meaning exp(i t), or a real number."""
-    if isinstance(obj, bool):
-        raise ValueError(f"cannot interpret {obj!r} as a complex number")
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     if isinstance(obj, dict):
         keys = set(obj)
         if keys == {"theta"}:
-            return complex(np.exp(1j * float(obj["theta"])))
+            return complex(np.exp(1j * _json_number(obj["theta"], "theta")))
         if keys and keys <= {"re", "im"}:
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
+            return complex(
+                _json_number(obj.get("re", 0.0), "re"), _json_number(obj.get("im", 0.0), "im")
+            )
         raise ValueError(
             f"complex value must have keys re/im or theta, got {sorted(keys)}"
         )
-    raise ValueError(f"cannot interpret {obj!r} as a complex number")
+    return complex(_json_number(obj, "complex value"))
 
 
 def emit_complex(z) -> dict:
@@ -93,7 +111,7 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
         value = parse_complex(spec["constant"])
         return np.full(count, value, dtype=np.complex128)
     if keys == {"thetas"}:
-        thetas = [float(t) for t in _json_list(spec["thetas"], "thetas")]
+        thetas = [_json_number(t, "theta") for t in _json_list(spec["thetas"], "thetas")]
         if len(thetas) < count:
             raise ValueError(
                 f"sequence entry for index {len(thetas) + start_index} missing: "
@@ -152,11 +170,28 @@ def conjugation_from_spec(spec: dict, dim: int) -> tuple[AntilinearMap, dict]:
     # unitary-seed
     if "seed" not in spec:
         raise ValueError('kind "unitary-seed" requires a "seed" entry')
-    seed = int(spec["seed"])
+    seed = _json_number(spec["seed"], "seed", integer=True)
     return conjugation_from_unitary(random_unitary(dim, seed)), {
         "kind": "unitary-seed",
         "seed": seed,
     }
+
+
+def parse_indexed_coefficients(entries, key: str) -> dict[int, complex]:
+    """Map n -> value from a JSON list of {"n": index, <complex value>} objects.
+
+    ``key`` names the list in error messages. Indices must be JSON
+    integers and distinct; the range of n is the caller's to check.
+    """
+    pairs = {}
+    for entry in _json_list(entries, key):
+        if not isinstance(entry, dict) or "n" not in entry:
+            raise ValueError(f"{key} entry must be an object with an index n, got {entry!r}")
+        n = _json_number(entry["n"], f"{key} index n", integer=True)
+        if n in pairs:
+            raise ValueError(f"duplicate {key} index {n}")
+        pairs[n] = parse_complex({k: v for k, v in entry.items() if k != "n"})
+    return pairs
 
 
 def symbol_to_json(symbol: LaurentSymbol) -> dict:
@@ -174,21 +209,13 @@ def symbol_from_json(data) -> LaurentSymbol:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-    band = int(data["band"])
+    band = _json_number(data.get("band"), "band", integer=True)
     if band < 0:
         raise ValueError("band must be nonnegative")
-    seen = set()
-    pairs = {}
-    for entry in _json_list(data.get("coeffs", []), "coeffs"):
-        if not isinstance(entry, dict) or "n" not in entry:
-            raise ValueError(f"symbol coefficient must be an object with an index n, got {entry!r}")
-        n = int(entry["n"])
+    pairs = parse_indexed_coefficients(data.get("coeffs", []), "coeffs")
+    for n in pairs:
         if abs(n) > band:
             raise ValueError(f"coefficient index {n} exceeds band {band}")
-        if n in seen:
-            raise ValueError(f"duplicate coefficient index {n}")
-        seen.add(n)
-        pairs[n] = parse_complex({k: v for k, v in entry.items() if k != "n"})
     return LaurentSymbol.from_pairs(pairs, band=band)
 
 

@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .conjugations import (
     conjugation_from_unitary,
     random_unitary,
+    rotation_conjugation,
     sequence_conjugation,
     squared_powers,
     unimodular,
@@ -51,7 +52,6 @@ __all__ = [
     "onesided_condition",
     "random_symbol",
     "rotation_condition",
-    "rotation_multipliers",
     "run_trial",
     "sequence_condition",
     "sequence_entrywise_condition",
@@ -220,12 +220,6 @@ def symmetry_residual(op: AntilinearMap, section, window: int | None = None) -> 
     return frobenius_norm(r[:w, :w])
 
 
-def rotation_multipliers(lam: complex, count: int) -> np.ndarray:
-    """Multipliers lam**n for n = 0 .. count-1."""
-    lam = complex(unimodular([lam])[0])
-    return lam ** np.arange(count)
-
-
 def sequence_multipliers(zeta, count: int) -> np.ndarray:
     """Multipliers zeta_n ** (2n) for n = 0 .. count-1 (1 at n = 0).
 
@@ -239,18 +233,17 @@ def sequence_multipliers(zeta, count: int) -> np.ndarray:
     return squared_powers(z[: count - 1])
 
 
-def diagonal_multipliers(op: AntilinearMap, tol: float = 1e-10) -> np.ndarray:
+def diagonal_multipliers(op: AntilinearMap) -> np.ndarray:
     """Coefficient-condition multipliers conj(d_n) * d_0 of a diagonal conjugation.
 
     For the rotation family this gives lam**n, for an explicit phase
     family conj(phase_n) * phase_0, and for the squared-sequence family
-    zeta_n ** (2n).
+    zeta_n ** (2n). The map must keep its factor as a diagonal vector
+    (``op.diagonal``); a dense factor raises, even a diagonal one.
     """
-    a = op.a_matrix
-    d = np.diag(a).copy()
-    off = frobenius_norm(a - np.diag(d))
-    if off > tol:
-        raise ValueError(f"linear factor is not diagonal: off-diagonal norm {off:.3e}")
+    d = op.diagonal
+    if d is None:
+        raise ValueError("linear factor is dense; build the map from its diagonal vector")
     # validate but do not renormalize: constructed diagonals are exact already,
     # and renormalizing here would perturb multipliers that the one-sided
     # completion rule reproduces bit for bit
@@ -309,7 +302,8 @@ def entrywise_condition(
 
 def rotation_condition(symbol: LaurentSymbol, lam: complex, tol: float = DEFAULT_TOL) -> ConditionReport:
     """One-sided criterion c(n) * lam**n == c(-n) for the rotation family."""
-    return onesided_condition(symbol, rotation_multipliers(lam, symbol.band + 1), tol)
+    w = diagonal_multipliers(rotation_conjugation(lam, symbol.band + 1))
+    return onesided_condition(symbol, w, tol)
 
 
 def sequence_condition(symbol: LaurentSymbol, zeta, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -352,7 +346,10 @@ class SymmetryReport:
     one-sided criterion; ``agree`` records whether that verdict matches
     the residual oracle at the same tolerance. The entrywise fields hold
     the two-index criterion. All three condition fields are None when the
-    conjugation is not diagonal, where no coefficient criterion applies.
+    map keeps a dense factor (``op.diagonal is None``), where no
+    coefficient criterion applies. That includes a dense factor that
+    happens to be diagonal, such as ``AntilinearMap(np.diag(d))``; build
+    ``AntilinearMap(d)`` from the vector to get the criteria.
     """
 
     residual: float
@@ -372,20 +369,23 @@ def symmetry_report(
     tol: float = DEFAULT_TOL,
     window: int | None = None,
 ) -> SymmetryReport:
-    """Residual oracle plus both coefficient criteria for one symbol.
+    """Residual oracle plus, for a diagonal map, both coefficient criteria.
 
-    The default window is the full section for a diagonal conjugation
-    (where the residual is truncation-free) and dim - band - bandwidth(A)
-    otherwise.
+    The criteria are reported when the map keeps its factor as a diagonal
+    vector (``op.diagonal``). A dense factor, even a diagonal one such as
+    ``AntilinearMap(np.diag(d))``, gets the residual only. The default
+    window is the full section when A is diagonal (where the residual is
+    truncation-free) and dim - band - bandwidth(A) otherwise.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
     t = toeplitz_section(symbol, dim)
-    bw = matrix_bandwidth(op.a_matrix)
+    diagonal = op.diagonal is not None
     if window is None:
+        bw = 0 if diagonal else matrix_bandwidth(op.a_matrix)
         window = dim if bw == 0 else max(1, dim - symbol.band - bw)
     residual = symmetry_residual(op, t, window)
-    if bw == 0:
+    if diagonal:
         w = diagonal_multipliers(op)
         one = onesided_condition(symbol, w, tol)
         ent = entrywise_condition(symbol, w, dim, tol)

@@ -1,10 +1,16 @@
 """CLI behavior: exit codes, schemas, and byte-level determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyconj.cli import main
 
@@ -221,7 +227,18 @@ class TestCheckSymmetry:
         assert code == 2
         assert "missing" in err
 
-    @pytest.mark.parametrize("coeffs", [[5], 5, [{"re": 1.0, "im": 0.0}]])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [5],
+            5,
+            [{"re": 1.0, "im": 0.0}],
+            [{"n": None, "re": 1.0}],
+            [{"n": 0.5, "re": 1.0}],
+            [{"n": [1], "re": 1.0}],
+            [{"n": True, "re": 1.0}],
+        ],
+    )
     def test_malformed_symbol_file_is_usage_error(self, tmp_path, capsys, coeffs):
         symbol = tmp_path / "bad.json"
         symbol.write_text(json.dumps({"schema_version": 1, "band": 1, "coeffs": coeffs}))
@@ -230,6 +247,17 @@ class TestCheckSymmetry:
         )
         assert_one_line_usage_error(code, err)
         assert "coeff" in err
+
+    @pytest.mark.parametrize("band", [None, 1.7, 1.0, "1", [1], True])
+    def test_malformed_band_is_usage_error(self, tmp_path, capsys, band):
+        # a fractional band used to be truncated silently; null raised a TypeError
+        symbol = tmp_path / "bad.json"
+        symbol.write_text(json.dumps({"schema_version": 1, "band": band, "coeffs": []}))
+        code, _, err = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", '{"kind":"j"}'], capsys
+        )
+        assert_one_line_usage_error(code, err)
+        assert "band" in err
 
     def test_dense_kind_rejected(self, tmp_path, capsys):
         symbol = self.gen(tmp_path, capsys, mirror_im=None)
@@ -444,6 +472,78 @@ class TestExplore:
         assert "band" in err
 
 
+def json_values(integers):
+    """Any JSON value, with ``integers`` for its integer leaves."""
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+JSON_VALUES = json_values(st.integers())
+# A symbol stores its 2 * band + 1 coefficients densely, so a well-typed huge
+# band asks for that much memory before check-symmetry compares it with --n.
+# That is a size limit, not a parsing question; the band slot stays small.
+BAND_VALUES = json_values(st.integers(-10**4, 10**4))
+
+
+def _conjugation(kind, key, spec):
+    return lambda v, tmp: [
+        "check-conjugation", "--kind", kind, "--n", "4", "--trials", "2",
+        key, json.dumps(spec(v)),
+    ]
+
+
+def _symbol(document):
+    def argv(v, tmp):
+        path = tmp / "sym.json"
+        path.write_text(json.dumps(document(v)))
+        return ["check-symmetry", "--symbol", str(path), "--conjugation", '{"kind":"j"}',
+                "--n", "4"]
+    return argv
+
+
+def _onesided(entries):
+    return lambda v, tmp: [
+        "gen-symbol", "--onesided", json.dumps(entries(v)),
+        "--sequence", '{"values":[{"theta":0.5}]}', "--out", str(tmp / "out.json"),
+    ]
+
+
+#: Every numeric slot of the sequence, lambda-value, symbol-file and
+#: one-sided specs, as a function of the value placed there.
+SLOTS = {
+    "sequence theta": _conjugation("zeta", "--sequence", lambda v: {"thetas": [v, 0.5, 1.0]}),
+    "sequence constant": _conjugation("zeta", "--sequence", lambda v: {"constant": v}),
+    "sequence value": _conjugation("alpha", "--sequence", lambda v: {"values": [v, 1, 1, 1]}),
+    "sequence value re": _conjugation(
+        "alpha", "--sequence", lambda v: {"values": [{"re": v}, 1, 1, 1]}
+    ),
+    "sequence value theta": _conjugation(
+        "alpha", "--sequence", lambda v: {"values": [{"theta": v}, 1, 1, 1]}
+    ),
+    "lambda value": _conjugation("lambda", "--value", lambda v: v),
+    "lambda im": _conjugation("lambda", "--value", lambda v: {"re": 1.0, "im": v}),
+    "lambda theta": _conjugation("lambda", "--value", lambda v: {"theta": v}),
+    "symbol band": _symbol(lambda v: {"schema_version": 1, "band": v, "coeffs": []}),
+    "symbol n": _symbol(
+        lambda v: {"schema_version": 1, "band": 1, "coeffs": [{"n": v, "re": 1.0}]}
+    ),
+    "symbol re": _symbol(
+        lambda v: {"schema_version": 1, "band": 1, "coeffs": [{"n": 1, "re": v}]}
+    ),
+    "symbol theta": _symbol(
+        lambda v: {"schema_version": 1, "band": 1, "coeffs": [{"n": -1, "theta": v}]}
+    ),
+    "onesided n": _onesided(lambda v: [{"n": v, "re": 1.0}]),
+    "onesided im": _onesided(lambda v: [{"n": 1, "im": v}]),
+    "onesided theta": _onesided(lambda v: [{"n": 1, "theta": v}]),
+}
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -466,16 +566,46 @@ class TestUsageErrors:
             ["check-conjugation", "--kind", "j", "--tol", "-1"],
             ["check-conjugation", "--kind", "j", "--tol", "nan", "--out", "out.json"],
             ["explore", "--tol", "inf", "--out", "out.json"],
+            ["check-conjugation", "--kind", "zeta", "--sequence", '{"thetas":[null]}'],
+            ["check-conjugation", "--kind", "alpha", "--sequence", '{"values":[{"re":null}]}'],
+            ["check-conjugation", "--kind", "lambda", "--value", '{"theta":null}'],
+            ["check-conjugation", "--kind", "lambda", "--value", '{"theta":[1]}'],
+            ["check-conjugation", "--kind", "lambda", "--value", '{"re":"1"}'],
+            ["check-conjugation", "--kind", "lambda", "--value", "1" + "0" * 400],
+            ["gen-symbol", "--onesided", '[{"n":null}]', "--out", "out.json"],
+            [
+                "gen-symbol",
+                "--onesided", '[{"n":1.5,"re":1.0}]',
+                "--sequence", QUARTER_TURN_SEQ,
+                "--out", "out.json",
+            ],
+            ["check-symmetry", "--symbol", "sym.json", "--conjugation", '{"kind":"j"}',
+             "--seed", "1"],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        # a valid symbol file, so a check-symmetry case fails on its own flaw only
+        (tmp_path / "sym.json").write_text('{"schema_version":1,"band":0,"coeffs":[]}')
         code, _, err = run(argv, capsys)
         assert_one_line_usage_error(code, err)
         assert not (tmp_path / "out.json").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(slot=st.sampled_from(sorted(SLOTS)), data=st.data())
+    def test_any_json_in_a_numeric_slot_is_handled(self, slot, data):
+        value = data.draw(BAND_VALUES if slot == "symbol band" else JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = SLOTS[slot](value, Path(tmp))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
 
 
 class TestSubprocessDeterminism:

@@ -254,6 +254,22 @@ class TestVerifyConjugation:
         with pytest.raises(ValueError, match="trials"):
             verify_conjugation(canonical_conjugation(2), trials=0)
 
+    def test_structured_certificate_matches_dense(self, diagonal_families):
+        dim = diagonal_families[0][1].dim
+        # a scaled vector fails the axioms, so both verdicts are compared
+        cases = diagonal_families + [("scaled", AntilinearMap(2.0 * np.ones(dim)))]
+        for name, op in cases:
+            cert = verify_conjugation(op, trials=20, seed=4)
+            dense = verify_conjugation(AntilinearMap(op.a_matrix), trials=20, seed=4)
+            assert dense.passed == cert.passed == (name != "scaled")
+            for field in (
+                "isometry_residual",
+                "involution_residual",
+                "a_unitarity_residual",
+                "a_symmetry_residual",
+            ):
+                assert abs(getattr(cert, field) - getattr(dense, field)) <= 1e-14, (name, field)
+
 
 class TestFactorDiagonal:
     def test_rotation_factor_has_half_angle_entries(self):

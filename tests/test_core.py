@@ -121,3 +121,44 @@ class TestValidation:
         op = AntilinearMap(np.eye(2))
         with pytest.raises(ValueError):
             op.a_matrix[0, 0] = 5.0
+
+
+class TestDiagonalForm:
+    def test_apply_matches_dense_factor(self, diagonal_families):
+        rng = np.random.default_rng(23)
+        for name, op in diagonal_families:
+            assert op.diagonal is not None, name
+            for _ in range(5):
+                f = random_vector(rng, op.dim)
+                np.testing.assert_allclose(
+                    apply_antilinear(op, f), op.a_matrix @ np.conj(f), rtol=0, atol=1e-14,
+                    err_msg=name,
+                )
+
+    def test_apply_never_builds_dense_factor(self, diagonal_families, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense factor built for a diagonal map")
+
+        monkeypatch.setattr(AntilinearMap, "a_matrix", property(refuse))
+        f = np.ones(diagonal_families[0][1].dim)
+        for name, op in diagonal_families:
+            assert apply_antilinear(op, f).shape == f.shape, name
+
+    def test_dense_view_is_diag_of_vector_and_read_only(self):
+        d = np.exp(1j * np.array([0.1, 0.2, 0.3]))
+        op = AntilinearMap(d)
+        np.testing.assert_array_equal(op.diagonal, d)
+        np.testing.assert_array_equal(op.a_matrix, np.diag(d))
+        assert op.dim == 3
+        with pytest.raises(ValueError):
+            op.a_matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            op.diagonal[0] = 5.0
+
+    def test_dense_factor_has_no_diagonal(self):
+        assert AntilinearMap(np.diag([1.0, -1.0])).diagonal is None
+
+    @pytest.mark.parametrize("factor", [[], [1.0, np.nan], [np.inf, 1.0]])
+    def test_rejects_empty_or_non_finite_vector(self, factor):
+        with pytest.raises(ValueError, match="nonempty and finite"):
+            AntilinearMap(np.asarray(factor, dtype=np.complex128))

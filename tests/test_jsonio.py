@@ -123,6 +123,11 @@ class TestConjugationFromSpec:
         np.testing.assert_array_equal(op1.a_matrix, op2.a_matrix)
         assert echo == {"kind": "unitary-seed", "seed": 7}
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "3", True, [7]])
+    def test_seed_must_be_a_json_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            conjugation_from_spec({"kind": "unitary-seed", "seed": seed}, 4)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown conjugation kind"):
             conjugation_from_spec({"kind": "mystery"}, 4)

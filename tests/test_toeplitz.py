@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 from hardyconj import (
+    AntilinearMap,
     LaurentSymbol,
     canonical_conjugation,
     conjugation_from_unitary,
+    diagonal_multipliers,
     entrywise_condition,
     evaluate_on_grid,
     explore_symmetry,
@@ -28,6 +30,7 @@ from hardyconj import (
     symmetry_report,
     symmetry_residual,
     toeplitz_section,
+    unimodular,
 )
 from hardyconj.jsonio import record_to_json
 
@@ -374,6 +377,48 @@ class TestSymmetryReport:
         assert report.coeff_condition_holds is None
         assert report.agree is None
         assert report.window == max(1, 12 - 2 - matrix_bandwidth(op.a_matrix))
+
+    def test_dense_form_of_a_diagonal_map_reports_residual_only(self, diagonal_families):
+        rng = np.random.default_rng(103)
+        for name, op in diagonal_families:
+            sym = random_symbol(3, rng)
+            structured = symmetry_report(op, sym, op.dim)
+            dense = symmetry_report(AntilinearMap(op.a_matrix), sym, op.dim)
+            assert structured.coeff_condition_holds is not None, name
+            assert dense.residual == structured.residual, name
+            assert dense.window == structured.window == op.dim, name
+            for field in ("coeff_condition_holds", "max_coeff_violation", "agree",
+                          "entrywise_holds", "entrywise_violation"):
+                assert getattr(dense, field) is None, (name, field)
+
+
+class TestDiagonalMultipliers:
+    def test_equal_conjugated_diagonal_times_first_entry(self, diagonal_families):
+        for name, op in diagonal_families:
+            a = op.a_matrix
+            expected = np.conj(np.diag(a)) * a[0, 0]
+            np.testing.assert_array_equal(diagonal_multipliers(op), expected, err_msg=name)
+
+    def test_rejects_dense_map(self, diagonal_families):
+        for name, op in diagonal_families:
+            with pytest.raises(ValueError, match="dense"):
+                diagonal_multipliers(AntilinearMap(op.a_matrix))
+
+    def test_rejects_non_unimodular_vector(self):
+        with pytest.raises(ValueError, match="unimodular"):
+            diagonal_multipliers(AntilinearMap(np.array([1.0, 2.0])))
+
+    def test_rotation_condition_equals_power_form(self):
+        rng = np.random.default_rng(107)
+        for trial in range(40):
+            band = int(rng.integers(0, 9))
+            lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            if trial % 2:
+                sym = symmetrized_symbol(rng, band, np.full(max(band, 1), np.sqrt(lam)))
+            else:
+                sym = random_symbol(band, rng)
+            powers = complex(unimodular([lam])[0]) ** np.arange(sym.band + 1)
+            assert rotation_condition(sym, lam) == onesided_condition(sym, powers)
 
 
 def nested_block_unitary(dim, seed):
