@@ -117,9 +117,7 @@ def _cmd_check_symmetry(args) -> int:
             f"check-symmetry needs a diagonal conjugation kind {jsonio.DIAGONAL_KINDS}, "
             f"got {kind!r}; use the explore command for dense conjugations"
         )
-    symbol = jsonio.load_symbol(args.symbol)
-    if symbol.band > args.n - 1:
-        raise ValueError(f"band {symbol.band} exceeds n - 1 = {args.n - 1}")
+    symbol = jsonio.load_symbol(args.symbol, max_band=args.n - 1)
     op, echo = jsonio.conjugation_from_spec(spec, args.n)
     result = symmetry_report(op, symbol, args.n, tol=args.tol)
     report = {

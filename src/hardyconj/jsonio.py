@@ -203,7 +203,8 @@ def symbol_to_json(symbol: LaurentSymbol) -> dict:
     return {"schema_version": SCHEMA_VERSION, "band": symbol.band, "coeffs": coeffs}
 
 
-def symbol_from_json(data) -> LaurentSymbol:
+def symbol_from_json(data, max_band: int | None = None) -> LaurentSymbol:
+    """Symbol from a SymbolFile object; a band above ``max_band`` is refused before allocating."""
     if not isinstance(data, dict):
         raise ValueError("symbol file must hold a JSON object")
     version = data.get("schema_version")
@@ -212,6 +213,8 @@ def symbol_from_json(data) -> LaurentSymbol:
     band = _json_number(data.get("band"), "band", integer=True)
     if band < 0:
         raise ValueError("band must be nonnegative")
+    if max_band is not None and band > max_band:
+        raise ValueError(f"band {band} exceeds the largest allowed band {max_band}")
     pairs = parse_indexed_coefficients(data.get("coeffs", []), "coeffs")
     for n in pairs:
         if abs(n) > band:
@@ -224,9 +227,9 @@ def save_symbol(symbol: LaurentSymbol, path) -> None:
         fh.write(canonical_json(symbol_to_json(symbol)))
 
 
-def load_symbol(path) -> LaurentSymbol:
+def load_symbol(path, max_band: int | None = None) -> LaurentSymbol:
     with open(path, "r", encoding="utf-8") as fh:
-        return symbol_from_json(json.load(fh))
+        return symbol_from_json(json.load(fh), max_band)
 
 
 def cert_to_json(cert: ConjugationCert) -> dict:

@@ -47,7 +47,6 @@ __all__ = [
     "explore_symmetry",
     "fourier_coefficients",
     "generate_symmetric_symbol",
-    "matrix_bandwidth",
     "multiply_truncate",
     "onesided_condition",
     "random_symbol",
@@ -281,21 +280,21 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
-def entrywise_condition(
-    symbol: LaurentSymbol, multipliers, dim: int, tol: float = DEFAULT_TOL
-) -> ConditionReport:
-    """Check c(j-k) * w_j == w_k * c(k-j) over the full dim x dim section.
+def entrywise_condition(section, multipliers, tol: float = DEFAULT_TOL) -> ConditionReport:
+    """Check c(j-k) * w_j == w_k * c(k-j) over a Toeplitz section.
 
+    ``section`` is the N x N matrix with entries c(j - k), as built by
+    :func:`toeplitz_section`; the multipliers must cover 0 .. N-1.
     Equivalent to a vanishing :func:`symmetry_residual` for the diagonal
     conjugation with these multipliers; stated on coefficients it needs no
     matrix products. Scaling the section by the multipliers turns the
     check into plain transpose symmetry.
     """
+    dim = section.shape[0]
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    t = toeplitz_section(symbol, dim)
-    s = w[:dim, None] * t
+    s = w[:dim, None] * section
     violation = float(np.max(np.abs(s - s.T)))
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
@@ -315,7 +314,8 @@ def sequence_entrywise_condition(
     symbol: LaurentSymbol, zeta, dim: int, tol: float = DEFAULT_TOL
 ) -> ConditionReport:
     """Two-index criterion for the squared-sequence family on a dim section."""
-    return entrywise_condition(symbol, sequence_multipliers(zeta, dim), dim, tol)
+    w = sequence_multipliers(zeta, dim)
+    return entrywise_condition(toeplitz_section(symbol, dim), w, tol)
 
 
 def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> LaurentSymbol:
@@ -342,14 +342,14 @@ def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> L
 class SymmetryReport:
     """Operator residual next to the coefficient-criterion verdicts.
 
-    ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
-    one-sided criterion; ``agree`` records whether that verdict matches
-    the residual oracle at the same tolerance. The entrywise fields hold
-    the two-index criterion. All three condition fields are None when the
-    map keeps a dense factor (``op.diagonal is None``), where no
-    coefficient criterion applies. That includes a dense factor that
-    happens to be diagonal, such as ``AntilinearMap(np.diag(d))``; build
-    ``AntilinearMap(d)`` from the vector to get the criteria.
+    ``residual`` covers the full section, so ``window`` is the section
+    size for every map. ``coeff_condition_holds`` and
+    ``max_coeff_violation`` refer to the one-sided criterion; ``agree``
+    records whether that verdict matches the residual oracle at the same
+    tolerance. The entrywise fields hold the two-index criterion. All
+    three condition fields are None for a dense factor (``op.diagonal is
+    None``), even a diagonal one such as ``AntilinearMap(np.diag(d))``;
+    build ``AntilinearMap(d)`` from the vector to get the criteria.
     """
 
     residual: float
@@ -363,49 +363,42 @@ class SymmetryReport:
 
 
 def symmetry_report(
-    op: AntilinearMap,
-    symbol: LaurentSymbol,
-    dim: int,
-    tol: float = DEFAULT_TOL,
-    window: int | None = None,
+    op: AntilinearMap, symbol: LaurentSymbol, dim: int, tol: float = DEFAULT_TOL
 ) -> SymmetryReport:
     """Residual oracle plus, for a diagonal map, both coefficient criteria.
 
-    The criteria are reported when the map keeps its factor as a diagonal
-    vector (``op.diagonal``). A dense factor, even a diagonal one such as
-    ``AntilinearMap(np.diag(d))``, gets the residual only. The default
-    window is the full section when A is diagonal (where the residual is
-    truncation-free) and dim - band - bandwidth(A) otherwise.
+    The section is built once. The residual covers all of it, for a dense
+    map too; a caller that wants a trimmed window for a banded dense map
+    calls :func:`symmetry_residual` with that window. The criteria are
+    reported, from the same section, when the map keeps its factor as a
+    diagonal vector (``op.diagonal``). A dense factor, even a diagonal one
+    such as ``AntilinearMap(np.diag(d))``, gets the residual only.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
     t = toeplitz_section(symbol, dim)
-    diagonal = op.diagonal is not None
-    if window is None:
-        bw = 0 if diagonal else matrix_bandwidth(op.a_matrix)
-        window = dim if bw == 0 else max(1, dim - symbol.band - bw)
-    residual = symmetry_residual(op, t, window)
-    if diagonal:
-        w = diagonal_multipliers(op)
-        one = onesided_condition(symbol, w, tol)
-        ent = entrywise_condition(symbol, w, dim, tol)
+    residual = symmetry_residual(op, t)
+    if op.diagonal is None:
         return SymmetryReport(
             residual=residual,
-            window=window,
-            coeff_condition_holds=one.holds,
-            max_coeff_violation=one.max_violation,
-            agree=(residual <= tol) == one.holds,
+            window=dim,
+            coeff_condition_holds=None,
+            max_coeff_violation=None,
+            agree=None,
             tol=tol,
-            entrywise_holds=ent.holds,
-            entrywise_violation=ent.max_violation,
         )
+    w = diagonal_multipliers(op)
+    one = onesided_condition(symbol, w, tol)
+    ent = entrywise_condition(t, w, tol)
     return SymmetryReport(
         residual=residual,
-        window=window,
-        coeff_condition_holds=None,
-        max_coeff_violation=None,
-        agree=None,
+        window=dim,
+        coeff_condition_holds=one.holds,
+        max_coeff_violation=one.max_violation,
+        agree=(residual <= tol) == one.holds,
         tol=tol,
+        entrywise_holds=ent.holds,
+        entrywise_violation=ent.max_violation,
     )
 
 
@@ -436,24 +429,22 @@ def run_trial(
     rng = np.random.default_rng((seed, trial))
 
     if resolved == "unitary":
+        zeta = None
         op = conjugation_from_unitary(random_unitary(dim, rng))
         symbol = random_symbol(band, rng)
-        report = symmetry_report(op, symbol, dim, tol, window=dim)
-        return ExplorationRecord(trial, (seed, trial), resolved, None, symbol, report)
-
-    if resolved == "constant":
-        zeta = np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
     else:
-        zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1))
+        if resolved == "constant":
+            zeta = np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        else:
+            zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1))
+        if resolved == "generic":
+            symbol = random_symbol(band, rng)
+        else:
+            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
+            onesided = {n: raw[n] / (1.0 + n) for n in range(1, band + 1)}
+            symbol = generate_symmetric_symbol(onesided, zero_coeff=raw[0], zeta=zeta)
+        op = sequence_conjugation(zeta)
 
-    if resolved == "generic":
-        symbol = random_symbol(band, rng)
-    else:
-        raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
-        onesided = {n: raw[n] / (1.0 + n) for n in range(1, band + 1)}
-        symbol = generate_symmetric_symbol(onesided, zero_coeff=raw[0], zeta=zeta)
-
-    op = sequence_conjugation(zeta)
     report = symmetry_report(op, symbol, dim, tol)
     return ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
 

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, schemas, and byte-level determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyconj.cli import main
+from hardyconj.cli import build_parser, main
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
 
@@ -255,6 +256,18 @@ class TestCheckSymmetry:
         symbol.write_text(json.dumps({"schema_version": 1, "band": band, "coeffs": []}))
         code, _, err = run(
             ["check-symmetry", "--symbol", str(symbol), "--conjugation", '{"kind":"j"}'], capsys
+        )
+        assert_one_line_usage_error(code, err)
+        assert "band" in err
+
+    def test_huge_band_is_refused_before_allocation(self, tmp_path, capsys):
+        # 2 * band + 1 coefficients would need exabytes; the band is checked first
+        symbol = tmp_path / "huge.json"
+        symbol.write_text('{"schema_version":1,"band":100000000000000000,"coeffs":[]}')
+        code, _, err = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", '{"kind":"j"}',
+             "--n", "16"],
+            capsys,
         )
         assert_one_line_usage_error(code, err)
         assert "band" in err
@@ -606,6 +619,35 @@ class TestUsageErrors:
         assert code in (0, 1, 2), (argv, code)
         if code == 2:
             assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
+class TestOptionSurface:
+    def test_each_subcommand_has_exactly_these_options(self):
+        # a new flag must be added here on purpose
+        expected = {
+            "check-conjugation": [
+                "--kind", "--theta", "--value", "--sequence",
+                "--n", "--tol", "--seed", "--trials", "--out",
+            ],
+            "check-symmetry": ["--symbol", "--conjugation", "--n", "--tol", "--out"],
+            "gen-symbol": ["--onesided", "--zero", "--sequence", "--out"],
+            "explore": ["--mode", "--n", "--tol", "--seed", "--trials", "--band", "--out"],
+        }
+        parser = build_parser()
+        (subcommands,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        found = {
+            name: [
+                option
+                for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings
+            ]
+            for name, sub in subcommands.choices.items()
+        }
+        assert found == expected
+        assert sum(map(len, found.values())) == 25
 
 
 class TestSubprocessDeterminism:

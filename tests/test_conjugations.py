@@ -270,6 +270,16 @@ class TestVerifyConjugation:
             ):
                 assert abs(getattr(cert, field) - getattr(dense, field)) <= 1e-14, (name, field)
 
+    def test_diagonal_certificate_never_builds_dense_factor(self, diagonal_families, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense factor built for a diagonal map")
+
+        monkeypatch.setattr(AntilinearMap, "a_matrix", property(refuse))
+        for name, op in diagonal_families:
+            cert = verify_conjugation(op, trials=5, seed=1)
+            assert cert.passed, name
+            assert cert.a_symmetry_residual == 0.0, name
+
 
 class TestFactorDiagonal:
     def test_rotation_factor_has_half_angle_entries(self):

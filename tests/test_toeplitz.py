@@ -15,7 +15,6 @@ from hardyconj import (
     explore_symmetry,
     fourier_coefficients,
     generate_symmetric_symbol,
-    matrix_bandwidth,
     multiply_truncate,
     onesided_condition,
     random_symbol,
@@ -32,7 +31,9 @@ from hardyconj import (
     toeplitz_section,
     unimodular,
 )
+import hardyconj.toeplitz
 from hardyconj.jsonio import record_to_json
+from hardyconj.toeplitz import matrix_bandwidth
 
 
 def random_zeta(rng, count):
@@ -376,7 +377,27 @@ class TestSymmetryReport:
         report = symmetry_report(op, sym, 12)
         assert report.coeff_condition_holds is None
         assert report.agree is None
-        assert report.window == max(1, 12 - 2 - matrix_bandwidth(op.a_matrix))
+        assert report.window == 12
+        assert report.residual == symmetry_residual(op, toeplitz_section(sym, 12))
+
+    def test_builds_one_section_per_report(self, monkeypatch):
+        built = []
+        original = hardyconj.toeplitz.toeplitz_section
+
+        def counting(symbol, dim):
+            built.append(dim)
+            return original(symbol, dim)
+
+        monkeypatch.setattr(hardyconj.toeplitz, "toeplitz_section", counting)
+        rng = np.random.default_rng(109)
+        sym = random_symbol(3, rng)
+        dense = conjugation_from_unitary(np.linalg.qr(
+            rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+        )[0])
+        for op in (sequence_conjugation(random_zeta(rng, 9)), dense):
+            built.clear()
+            symmetry_report(op, sym, 10)
+            assert built == [10]
 
     def test_dense_form_of_a_diagonal_map_reports_residual_only(self, diagonal_families):
         rng = np.random.default_rng(103)
@@ -508,7 +529,7 @@ class TestExploration:
     def test_entrywise_multiplier_shortage_detected(self):
         sym = LaurentSymbol.from_pairs({1: 1.0})
         with pytest.raises(ValueError, match="0..3"):
-            entrywise_condition(sym, np.ones(4), 5)
+            entrywise_condition(toeplitz_section(sym, 5), np.ones(4))
 
     def test_sequence_multipliers_squared_powers(self):
         zeta = np.array([1j, np.exp(1j * np.pi / 4.0)])
