@@ -37,6 +37,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+#: Largest one-sided index gen-symbol accepts. A constant sequence has no
+#: length of its own, so this bounds the 2 * band + 1 coefficients the
+#: command would allocate and write; it is checked before any allocation.
+MAX_GEN_BAND = 2**14
+
 
 def _json_arg(text: str):
     """Parse an inline JSON argument, or @path to read it from a file."""
@@ -144,6 +149,8 @@ def _cmd_gen_symbol(args) -> int:
             raise ValueError(f"one-sided coefficient indices start at 1, got {n}")
     zero_coeff = jsonio.parse_complex(_json_arg(args.zero)) if args.zero else 0.0
     band = max(onesided, default=0)
+    if band > MAX_GEN_BAND:
+        raise ValueError(f"one-sided index {band} exceeds the largest allowed band {MAX_GEN_BAND}")
     zeta = (
         jsonio.parse_sequence_spec(_json_arg(args.sequence), band, start_index=1)
         if args.sequence

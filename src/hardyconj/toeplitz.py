@@ -11,11 +11,18 @@ truncation error, to
 
     c(j - k) * w_j == w_k * c(k - j)   for all 0 <= j, k < N,
 
-while the classical one-sided criterion reads c(n) * w_n == c(-n) for
-n >= 0. The two coincide whenever w is multiplicative in the index (in
-particular for the rotation family w_n = lam**n) but the one-sided form
-is weaker in general; :func:`explore_symmetry` measures how often they
-disagree against the operator-residual oracle.
+which splits into one condition per offset p = j - k of the symbol's
+band: c(p) * w[k + p] == c(-p) * w[k] for 0 <= k < N - p. A diagonal map
+is therefore checked offset by offset, in O(N * M) time and O(N) memory
+with no section built: :func:`diagonal_residual` and
+:func:`entrywise_condition`. The dense section with :func:`symmetry_residual`
+stays the oracle, and is what a dense conjugation gets.
+
+The classical one-sided criterion reads c(n) * w_n == c(-n) for n >= 0.
+It coincides with the entrywise one whenever w is multiplicative in the
+index (in particular for the rotation family w_n = lam**n) but is weaker
+in general; :func:`explore_symmetry` measures how often they disagree
+against the operator-residual oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "LaurentSymbol",
     "SymmetryReport",
     "diagonal_multipliers",
+    "diagonal_residual",
     "entrywise_condition",
     "evaluate_on_grid",
     "explore_symmetry",
@@ -219,6 +227,38 @@ def symmetry_residual(op: AntilinearMap, section, window: int | None = None) -> 
     return frobenius_norm(r[:w, :w])
 
 
+def _two_sided(symbol: LaurentSymbol, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c(p), c(-p)) for p = 0 .. m, as two arrays indexed by p."""
+    b = symbol.band
+    return symbol.coeffs[b : b + m + 1], symbol.coeffs[b - m : b + 1][::-1]
+
+
+def diagonal_residual(op: AntilinearMap, symbol: LaurentSymbol, dim: int) -> float:
+    """Frobenius norm of D conj(T) - T^H D for a diagonal map, from offsets.
+
+    Entry (k + p, k) of that matrix is d[k+p] conj(c(p)) - conj(c(-p)) d[k],
+    entry (k, k + p) is its negative and the main diagonal vanishes, so the
+    norm is sqrt(2 * sum over p = 1 .. min(band, dim - 1) and k of the
+    squared moduli). O(dim * band) time and O(dim) memory; no section or
+    dense factor is built. Equal to :func:`symmetry_residual` on
+    ``toeplitz_section(symbol, dim)`` up to roundoff. A dense factor
+    raises, as in :func:`diagonal_multipliers`.
+    """
+    d = op.diagonal
+    if d is None:
+        raise ValueError("linear factor is dense; build the map from its diagonal vector")
+    if d.size != dim:
+        raise ValueError(f"operator dimension {d.size} does not match section size {dim}")
+    m = min(symbol.band, dim - 1)
+    plus, minus = map(np.conj, _two_sided(symbol, m))
+    total = 0.0
+    # one offset at a time keeps memory O(dim) when the band is near dim
+    for p in range(1, m + 1):
+        r = d[p:] * plus[p] - minus[p] * d[:-p]
+        total += np.vdot(r, r).real
+    return float(np.sqrt(2.0 * total))
+
+
 def sequence_multipliers(zeta, count: int) -> np.ndarray:
     """Multipliers zeta_n ** (2n) for n = 0 .. count-1 (1 at n = 0).
 
@@ -280,22 +320,28 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
-def entrywise_condition(section, multipliers, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Check c(j-k) * w_j == w_k * c(k-j) over a Toeplitz section.
+def entrywise_condition(
+    symbol: LaurentSymbol, multipliers, dim: int, tol: float = DEFAULT_TOL
+) -> ConditionReport:
+    """Check c(j-k) * w_j == w_k * c(k-j) over the dim x dim section.
 
-    ``section`` is the N x N matrix with entries c(j - k), as built by
-    :func:`toeplitz_section`; the multipliers must cover 0 .. N-1.
-    Equivalent to a vanishing :func:`symmetry_residual` for the diagonal
-    conjugation with these multipliers; stated on coefficients it needs no
-    matrix products. Scaling the section by the multipliers turns the
-    check into plain transpose symmetry.
+    The multipliers must cover 0 .. dim-1. Equivalent to a vanishing
+    :func:`symmetry_residual` for the diagonal conjugation with these
+    multipliers. Stated on coefficients it needs no section: the worst
+    violation is the largest |w[k+p] c(p) - w[k] c(-p)| over the offsets
+    p = 1 .. min(band, dim - 1), since offset -p repeats offset p negated
+    and offset 0 vanishes. O(dim * band) time and O(dim) memory.
     """
-    dim = section.shape[0]
+    if dim < 1:
+        raise ValueError("dimension must be positive")
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    s = w[:dim, None] * section
-    violation = float(np.max(np.abs(s - s.T)))
+    w = w[:dim]
+    m = min(symbol.band, dim - 1)
+    plus, minus = _two_sided(symbol, m)
+    peaks = [np.max(np.abs(w[p:] * plus[p] - w[:-p] * minus[p])) for p in range(1, m + 1)]
+    violation = float(np.max(peaks, initial=0.0))
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -314,8 +360,7 @@ def sequence_entrywise_condition(
     symbol: LaurentSymbol, zeta, dim: int, tol: float = DEFAULT_TOL
 ) -> ConditionReport:
     """Two-index criterion for the squared-sequence family on a dim section."""
-    w = sequence_multipliers(zeta, dim)
-    return entrywise_condition(toeplitz_section(symbol, dim), w, tol)
+    return entrywise_condition(symbol, sequence_multipliers(zeta, dim), dim, tol)
 
 
 def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> LaurentSymbol:
@@ -343,13 +388,16 @@ class SymmetryReport:
     """Operator residual next to the coefficient-criterion verdicts.
 
     ``residual`` covers the full section, so ``window`` is the section
-    size for every map. ``coeff_condition_holds`` and
-    ``max_coeff_violation`` refer to the one-sided criterion; ``agree``
-    records whether that verdict matches the residual oracle at the same
-    tolerance. The entrywise fields hold the two-index criterion. All
-    three condition fields are None for a dense factor (``op.diagonal is
-    None``), even a diagonal one such as ``AntilinearMap(np.diag(d))``;
-    build ``AntilinearMap(d)`` from the vector to get the criteria.
+    size for every map. For a diagonal map it is computed offset by offset
+    (:func:`diagonal_residual`), for a dense one from the section
+    (:func:`symmetry_residual`); the two agree to roundoff.
+    ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
+    one-sided criterion; ``agree`` records whether that verdict matches
+    the residual oracle at the same tolerance. The entrywise fields hold
+    the two-index criterion. All three condition fields are None for a
+    dense factor (``op.diagonal is None``), even a diagonal one such as
+    ``AntilinearMap(np.diag(d))``; build ``AntilinearMap(d)`` from the
+    vector to get the criteria.
     """
 
     residual: float
@@ -367,29 +415,32 @@ def symmetry_report(
 ) -> SymmetryReport:
     """Residual oracle plus, for a diagonal map, both coefficient criteria.
 
-    The section is built once. The residual covers all of it, for a dense
-    map too; a caller that wants a trimmed window for a banded dense map
-    calls :func:`symmetry_residual` with that window. The criteria are
-    reported, from the same section, when the map keeps its factor as a
-    diagonal vector (``op.diagonal``). A dense factor, even a diagonal one
-    such as ``AntilinearMap(np.diag(d))``, gets the residual only.
+    A map that keeps its factor as a diagonal vector (``op.diagonal``) is
+    checked from the symbol's offsets in O(dim * band), with no section:
+    :func:`diagonal_residual`, the one-sided criterion and
+    :func:`entrywise_condition`. The residual and the entrywise check are
+    separate computations, from d and conj(c) and from w and c, so their
+    verdicts cross-check each other. A dense factor, even a diagonal one
+    such as ``AntilinearMap(np.diag(d))``, gets the section and the dense
+    :func:`symmetry_residual` over all of it, and no criteria; a caller
+    that wants a trimmed window for a banded dense map calls
+    :func:`symmetry_residual` with that window.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
-    t = toeplitz_section(symbol, dim)
-    residual = symmetry_residual(op, t)
     if op.diagonal is None:
         return SymmetryReport(
-            residual=residual,
+            residual=symmetry_residual(op, toeplitz_section(symbol, dim)),
             window=dim,
             coeff_condition_holds=None,
             max_coeff_violation=None,
             agree=None,
             tol=tol,
         )
+    residual = diagonal_residual(op, symbol, dim)
     w = diagonal_multipliers(op)
     one = onesided_condition(symbol, w, tol)
-    ent = entrywise_condition(t, w, tol)
+    ent = entrywise_condition(symbol, w, dim, tol)
     return SymmetryReport(
         residual=residual,
         window=dim,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyconj.cli import build_parser, main
+from hardyconj.cli import MAX_GEN_BAND, build_parser, main
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
 
@@ -328,6 +328,21 @@ class TestGenSymbol:
         assert code == 2
         assert "missing" in err
 
+    def test_index_just_above_the_limit_is_usage_error(self, tmp_path, capsys):
+        # a constant sequence has no length, so the index alone sizes the symbol
+        code, _, err = run(
+            [
+                "gen-symbol",
+                "--onesided", json.dumps([{"n": MAX_GEN_BAND + 1, "re": 1.0}]),
+                "--sequence", '{"constant":{"theta":0.1}}',
+                "--out", str(tmp_path / "x.json"),
+            ],
+            capsys,
+        )
+        assert_one_line_usage_error(code, err)
+        assert "largest allowed band" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_round_trip_through_check(self, tmp_path, capsys):
         out_path = tmp_path / "sym.json"
         seq = '{"constant":{"theta":0.9}}'
@@ -485,22 +500,71 @@ class TestExplore:
         assert "band" in err
 
 
-def json_values(integers):
-    """Any JSON value, with ``integers`` for its integer leaves."""
-    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=4)
-    return st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-        max_leaves=6,
-    )
+class TestLargeSections:
+    """Diagonal maps at N = 4096, where one dense N x N product would need 256 MB."""
+
+    def test_explore_mixed(self, tmp_path, capsys):
+        out_path = tmp_path / "large.jsonl"
+        code, out, _ = run(
+            [
+                "explore",
+                "--mode", "mixed",
+                "--n", "4096",
+                "--band", "8",
+                "--trials", "3",
+                "--seed", "3",
+                "--out", str(out_path),
+            ],
+            capsys,
+        )
+        assert code in (0, 1)
+        records = [json.loads(line) for line in out_path.read_text().splitlines()[:-1]]
+        assert [r["mode"] for r in records] == ["generic", "symmetrized", "constant"]
+        for record in records:
+            report = record["report"]
+            assert report["entrywise_holds"] == (report["residual"] <= report["tol"])
+            if record["mode"] == "constant":
+                assert report["agree"] is True
+        assert stdout_json(out)["results"]["entrywise_mismatch_trials"] == []
+
+    def test_check_symmetry(self, tmp_path, capsys):
+        symbol = tmp_path / "sym.json"
+        sequence = {"constant": {"theta": 0.7}}
+        onesided = [{"n": k, "re": 1.0 / k, "im": 0.5} for k in range(1, 9)]
+        code, _, _ = run(
+            [
+                "gen-symbol",
+                "--onesided", json.dumps(onesided),
+                "--zero", '{"re":0.3}',
+                "--sequence", json.dumps(sequence),
+                "--out", str(symbol),
+            ],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run(
+            [
+                "check-symmetry",
+                "--symbol", str(symbol),
+                "--conjugation", json.dumps({"kind": "zeta", "sequence": sequence}),
+                "--n", "4096",
+            ],
+            capsys,
+        )
+        results = stdout_json(out)["results"]
+        assert code == 0
+        assert results["residual"] <= results["tol"]
+        assert results["entrywise_holds"] is True
+        assert results["agree"] is True
 
 
-JSON_VALUES = json_values(st.integers())
-# A symbol stores its 2 * band + 1 coefficients densely, so a well-typed huge
-# band asks for that much memory before check-symmetry compares it with --n.
-# That is a size limit, not a parsing question; the band slot stays small.
-BAND_VALUES = json_values(st.integers(-10**4, 10**4))
+#: Any JSON value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def _conjugation(kind, key, spec):
@@ -519,10 +583,10 @@ def _symbol(document):
     return argv
 
 
-def _onesided(entries):
+def _onesided(entries, sequence='{"values":[{"theta":0.5}]}'):
     return lambda v, tmp: [
         "gen-symbol", "--onesided", json.dumps(entries(v)),
-        "--sequence", '{"values":[{"theta":0.5}]}', "--out", str(tmp / "out.json"),
+        "--sequence", sequence, "--out", str(tmp / "out.json"),
     ]
 
 
@@ -552,6 +616,9 @@ SLOTS = {
         lambda v: {"schema_version": 1, "band": 1, "coeffs": [{"n": -1, "theta": v}]}
     ),
     "onesided n": _onesided(lambda v: [{"n": v, "re": 1.0}]),
+    "onesided n constant": _onesided(
+        lambda v: [{"n": v, "re": 1.0}], sequence='{"constant":{"theta":0.5}}'
+    ),
     "onesided im": _onesided(lambda v: [{"n": 1, "im": v}]),
     "onesided theta": _onesided(lambda v: [{"n": 1, "theta": v}]),
 }
@@ -594,6 +661,12 @@ class TestUsageErrors:
             ],
             ["check-symmetry", "--symbol", "sym.json", "--conjugation", '{"kind":"j"}',
              "--seed", "1"],
+            [
+                "gen-symbol",
+                "--onesided", '[{"n":100000000000000000,"re":1}]',
+                "--sequence", '{"constant":{"theta":0.1}}',
+                "--out", "out.json",
+            ],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
@@ -610,7 +683,7 @@ class TestUsageErrors:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(slot=st.sampled_from(sorted(SLOTS)), data=st.data())
     def test_any_json_in_a_numeric_slot_is_handled(self, slot, data):
-        value = data.draw(BAND_VALUES if slot == "symbol band" else JSON_VALUES)
+        value = data.draw(JSON_VALUES)
         with tempfile.TemporaryDirectory() as tmp:
             argv = SLOTS[slot](value, Path(tmp))
             with contextlib.redirect_stdout(io.StringIO()), \

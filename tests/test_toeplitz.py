@@ -1,5 +1,7 @@
 """Unit tests for symbols, sections, and the symmetry criteria."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from hardyconj import (
     canonical_conjugation,
     conjugation_from_unitary,
     diagonal_multipliers,
+    diagonal_residual,
     entrywise_condition,
     evaluate_on_grid,
     explore_symmetry,
@@ -17,6 +20,7 @@ from hardyconj import (
     generate_symmetric_symbol,
     multiply_truncate,
     onesided_condition,
+    phase_conjugation,
     random_symbol,
     rotation_condition,
     rotation_conjugation,
@@ -36,6 +40,10 @@ from hardyconj.jsonio import record_to_json
 from hardyconj.toeplitz import matrix_bandwidth
 
 
+EPS = np.finfo(np.float64).eps
+OFFSET_DIMS = (2, 5, 16, 64, 256)
+
+
 def random_zeta(rng, count):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
 
@@ -44,6 +52,34 @@ def symmetrized_symbol(rng, band, zeta):
     raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
     onesided = {n: raw[n] / (1.0 + n) for n in range(1, band + 1)}
     return generate_symmetric_symbol(onesided, zero_coeff=raw[0], zeta=zeta)
+
+
+def section_entrywise_violation(section, multipliers):
+    """Reference entrywise check on a dense section: max |s - s^T| for s = diag(w) T."""
+    dim = section.shape[0]
+    s = np.asarray(multipliers, dtype=np.complex128)[:dim, None] * section
+    return float(np.max(np.abs(s - s.T)))
+
+
+def offset_form_draws(dim):
+    """Seeded (label, map, symbol) triples at section size dim.
+
+    Each band drawn from 1 .. dim-1 (both ends always included) pairs a
+    random symbol with every diagonal family, plus one trial of each
+    explore mode that draws a diagonal map.
+    """
+    rng = np.random.default_rng((3, dim))
+    bands = sorted({1, dim - 1, *rng.integers(1, dim, 6).tolist()})
+    for band in bands:
+        yield "j", canonical_conjugation(dim), random_symbol(band, rng)
+        lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        yield "lambda", rotation_conjugation(lam, dim), random_symbol(band, rng)
+        alpha = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+        yield "alpha", phase_conjugation(alpha), random_symbol(band, rng)
+        yield "zeta", sequence_conjugation(random_zeta(rng, dim - 1)), random_symbol(band, rng)
+        for mode in ("generic", "symmetrized", "constant"):
+            record = run_trial(band, dim, band, seed=dim, mode=mode)
+            yield mode, sequence_conjugation(record.zeta), record.symbol
 
 
 class TestLaurentSymbol:
@@ -299,6 +335,10 @@ class TestEntrywiseCondition:
         with pytest.raises(ValueError, match="1..7"):
             sequence_entrywise_condition(sym, [1j, 1j], 8)
 
+    def test_rejects_empty_section(self):
+        with pytest.raises(ValueError, match="positive"):
+            entrywise_condition(LaurentSymbol.from_pairs({0: 1.0}), [1.0], 0)
+
 
 class TestGenerateSymmetricSymbol:
     def test_quarter_turn_entry_gives_negated_mirror(self):
@@ -394,10 +434,12 @@ class TestSymmetryReport:
         dense = conjugation_from_unitary(np.linalg.qr(
             rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         )[0])
-        for op in (sequence_conjugation(random_zeta(rng, 9)), dense):
+        # a diagonal map is checked from the symbol's offsets, a dense one
+        # from exactly one section
+        for op, sections in ((sequence_conjugation(random_zeta(rng, 9)), []), (dense, [10])):
             built.clear()
             symmetry_report(op, sym, 10)
-            assert built == [10]
+            assert built == sections
 
     def test_dense_form_of_a_diagonal_map_reports_residual_only(self, diagonal_families):
         rng = np.random.default_rng(103)
@@ -406,11 +448,69 @@ class TestSymmetryReport:
             structured = symmetry_report(op, sym, op.dim)
             dense = symmetry_report(AntilinearMap(op.a_matrix), sym, op.dim)
             assert structured.coeff_condition_holds is not None, name
-            assert dense.residual == structured.residual, name
+            # offset form against the dense product: the same norm to roundoff
+            bound = op.dim * EPS * np.linalg.norm(toeplitz_section(sym, op.dim))
+            assert abs(dense.residual - structured.residual) <= bound, name
             assert dense.window == structured.window == op.dim, name
             for field in ("coeff_condition_holds", "max_coeff_violation", "agree",
                           "entrywise_holds", "entrywise_violation"):
                 assert getattr(dense, field) is None, (name, field)
+
+
+class TestOffsetForms:
+    @pytest.mark.parametrize("dim", OFFSET_DIMS)
+    def test_residual_matches_dense_oracle(self, dim):
+        for label, op, sym in offset_form_draws(dim):
+            t = toeplitz_section(sym, dim)
+            oracle = symmetry_residual(op, t)
+            report = symmetry_report(op, sym, dim)
+            assert report.residual == diagonal_residual(op, sym, dim), label
+            assert abs(report.residual - oracle) <= dim * EPS * np.linalg.norm(t), (
+                label, sym.band
+            )
+            assert (report.residual <= report.tol) == (oracle <= report.tol), (label, sym.band)
+
+    @pytest.mark.parametrize("dim", OFFSET_DIMS)
+    def test_entrywise_equals_section_reference(self, dim):
+        for label, op, sym in offset_form_draws(dim):
+            w = diagonal_multipliers(op)
+            reference = section_entrywise_violation(toeplitz_section(sym, dim), w)
+            report = symmetry_report(op, sym, dim)
+            assert report.entrywise_violation == reference, (label, sym.band)
+            assert entrywise_condition(sym, w, dim).max_violation == reference, label
+
+    def test_residual_rejects_dense_map_and_wrong_size(self, diagonal_families):
+        rng = np.random.default_rng(113)
+        for name, op in diagonal_families:
+            sym = random_symbol(2, rng)
+            with pytest.raises(ValueError, match="dense"):
+                diagonal_residual(AntilinearMap(op.a_matrix), sym, op.dim)
+            with pytest.raises(ValueError, match="match"):
+                diagonal_residual(op, sym, op.dim + 1)
+
+    def test_large_report_builds_no_matrix(self, monkeypatch):
+        dim, band = 4096, 8
+        rng = np.random.default_rng(127)
+        generic = (sequence_conjugation(random_zeta(rng, dim - 1)), random_symbol(band, rng))
+        zeta = np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        constant = (sequence_conjugation(zeta), symmetrized_symbol(rng, band, zeta))
+
+        def refuse(*args):
+            raise AssertionError("an N x N matrix was built")
+
+        monkeypatch.setattr(hardyconj.toeplitz, "toeplitz_section", refuse)
+        monkeypatch.setattr(AntilinearMap, "a_matrix", property(refuse))
+        for (op, sym), symmetric in ((generic, False), (constant, True)):
+            tracemalloc.start()
+            try:
+                report = symmetry_report(op, sym, dim)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
+            assert (report.residual <= report.tol) is symmetric
+            assert report.entrywise_holds is symmetric
+            assert report.agree is True
 
 
 class TestDiagonalMultipliers:
@@ -529,7 +629,7 @@ class TestExploration:
     def test_entrywise_multiplier_shortage_detected(self):
         sym = LaurentSymbol.from_pairs({1: 1.0})
         with pytest.raises(ValueError, match="0..3"):
-            entrywise_condition(toeplitz_section(sym, 5), np.ones(4))
+            entrywise_condition(sym, np.ones(4), 5)
 
     def test_sequence_multipliers_squared_powers(self):
         zeta = np.array([1j, np.exp(1j * np.pi / 4.0)])
