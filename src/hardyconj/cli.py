@@ -182,22 +182,24 @@ def _cmd_explore(args) -> int:
         args.trials, args.n, args.band, args.seed, mode=args.mode, tol=args.tol
     )
     summary = summarize_exploration(records)
+    inputs = {
+        "trials": args.trials,
+        "n": args.n,
+        "band": args.band,
+        "seed": args.seed,
+        "mode": args.mode,
+        "tol": args.tol,
+    }
+    # the last line carries the inputs so the file replays alone; no path,
+    # so the same run written elsewhere gives the same bytes
     with open(args.out, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(jsonio.json_line(jsonio.record_to_json(record)))
-        fh.write(jsonio.json_line({"summary": summary}))
+        fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
     report = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "command": "explore",
-        "inputs": {
-            "trials": args.trials,
-            "n": args.n,
-            "band": args.band,
-            "seed": args.seed,
-            "mode": args.mode,
-            "tol": args.tol,
-            "out": str(args.out),
-        },
+        "inputs": {**inputs, "out": str(args.out)},
         "results": summary,
     }
     # records already streamed to --out; the summary goes to stdout
@@ -282,7 +284,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
+        # MemoryError: a size numpy refuses outright, such as a huge --n
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

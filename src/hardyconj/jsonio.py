@@ -110,22 +110,21 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
     if keys == {"constant"}:
         value = parse_complex(spec["constant"])
         return np.full(count, value, dtype=np.complex128)
-    if keys == {"thetas"}:
-        thetas = [_json_number(t, "theta") for t in _json_list(spec["thetas"], "thetas")]
-        if len(thetas) < count:
+    if keys in ({"thetas"}, {"values"}):
+        (key,) = keys
+        thetas = key == "thetas"
+        entries = [
+            _json_number(v, "theta") if thetas else parse_complex(v)
+            for v in _json_list(spec[key], key)
+        ]
+        if len(entries) < count:
             raise ValueError(
-                f"sequence entry for index {len(thetas) + start_index} missing: "
-                f"got {len(thetas)} entries, need {count}"
+                f"sequence entry for index {len(entries) + start_index} missing: "
+                f"got {len(entries)} entries, need {count}"
             )
-        return np.exp(1j * np.asarray(thetas[:count]))
-    if keys == {"values"}:
-        values = [parse_complex(v) for v in _json_list(spec["values"], "values")]
-        if len(values) < count:
-            raise ValueError(
-                f"sequence entry for index {len(values) + start_index} missing: "
-                f"got {len(values)} entries, need {count}"
-            )
-        return np.asarray(values[:count], dtype=np.complex128)
+        if thetas:
+            return np.exp(1j * np.asarray(entries[:count]))
+        return np.asarray(entries[:count], dtype=np.complex128)
     raise ValueError(
         f"sequence spec must have exactly one of the keys constant/thetas/values, "
         f"got {sorted(keys)}"
@@ -246,7 +245,6 @@ def cert_to_json(cert: ConjugationCert) -> dict:
 def report_to_json(report: SymmetryReport) -> dict:
     return {
         "residual": float(report.residual),
-        "window": int(report.window),
         "coeff_condition_holds": report.coeff_condition_holds,
         "max_coeff_violation": None
         if report.max_coeff_violation is None
@@ -261,12 +259,11 @@ def report_to_json(report: SymmetryReport) -> dict:
 
 
 def record_to_json(record: ExplorationRecord) -> dict:
+    """Trial, seed pair, resolved mode and report; ``run_trial`` regenerates the rest."""
     return {
         "trial": int(record.trial),
         "seed": [int(s) for s in record.seed],
         "mode": record.mode,
-        "zeta": None if record.zeta is None else [emit_complex(z) for z in record.zeta],
-        "symbol": symbol_to_json(record.symbol),
         "report": report_to_json(record.report),
     }
 

@@ -387,8 +387,8 @@ def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> L
 class SymmetryReport:
     """Operator residual next to the coefficient-criterion verdicts.
 
-    ``residual`` covers the full section, so ``window`` is the section
-    size for every map. For a diagonal map it is computed offset by offset
+    ``residual`` always covers the full section, so the report carries no
+    window. For a diagonal map it is computed offset by offset
     (:func:`diagonal_residual`), for a dense one from the section
     (:func:`symmetry_residual`); the two agree to roundoff.
     ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
@@ -401,7 +401,6 @@ class SymmetryReport:
     """
 
     residual: float
-    window: int
     coeff_condition_holds: bool | None
     max_coeff_violation: float | None
     agree: bool | None
@@ -422,16 +421,15 @@ def symmetry_report(
     separate computations, from d and conj(c) and from w and c, so their
     verdicts cross-check each other. A dense factor, even a diagonal one
     such as ``AntilinearMap(np.diag(d))``, gets the section and the dense
-    :func:`symmetry_residual` over all of it, and no criteria; a caller
-    that wants a trimmed window for a banded dense map calls
-    :func:`symmetry_residual` with that window.
+    :func:`symmetry_residual` over all of it, and no criteria. The report
+    has no window; a caller that wants a trimmed one for a banded dense
+    map calls :func:`symmetry_residual` with it.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
     if op.diagonal is None:
         return SymmetryReport(
             residual=symmetry_residual(op, toeplitz_section(symbol, dim)),
-            window=dim,
             coeff_condition_holds=None,
             max_coeff_violation=None,
             agree=None,
@@ -443,7 +441,6 @@ def symmetry_report(
     ent = entrywise_condition(symbol, w, dim, tol)
     return SymmetryReport(
         residual=residual,
-        window=dim,
         coeff_condition_holds=one.holds,
         max_coeff_violation=one.max_violation,
         agree=(residual <= tol) == one.holds,
@@ -517,8 +514,9 @@ def explore_symmetry(
     constant sequence, where all criteria provably coincide; ``unitary``
     draws a dense random conjugation and records the raw residual only;
     ``mixed`` cycles generic, symmetrized, constant. Trials are
-    independent and each reseeds from (seed, trial), so any record can be
-    regenerated alone by :func:`run_trial`.
+    independent and each reseeds from (seed, trial), so :func:`run_trial`
+    regenerates any record alone, sequence and symbol included; a JSON
+    record therefore carries only the pair, the resolved mode and the report.
     """
     if num_trials < 1:
         raise ValueError("need at least one trial")

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
+from hardyconj.jsonio import json_line, record_to_json
+from hardyconj.toeplitz import run_trial
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
 
@@ -481,9 +483,43 @@ class TestExplore:
         lines = out_path.read_text().splitlines()
         records = [json.loads(line) for line in lines[:-1]]
         for t, record in enumerate(records):
+            assert set(record) == {"trial", "seed", "mode", "report"}
             assert record["seed"] == [5, t]
-            assert record["symbol"]["schema_version"] == 1
             assert "residual" in record["report"]
+
+    @pytest.mark.parametrize(
+        "n, band, trials, mode",
+        [(24, 4, 30, "mixed"), (512, 8, 3, "mixed"), (4096, 8, 3, "mixed"), (24, 4, 4, "unitary")],
+    )
+    def test_records_replay_from_the_file_alone(self, n, band, trials, mode, tmp_path, capsys):
+        out_path = tmp_path / "records.jsonl"
+        run(
+            [
+                "explore",
+                "--trials", str(trials),
+                "--n", str(n),
+                "--band", str(band),
+                "--seed", "4",
+                "--mode", mode,
+                "--out", str(out_path),
+            ],
+            capsys,
+        )
+        *lines, last = out_path.read_text().splitlines(keepends=True)
+        tail = json.loads(last)
+        assert set(tail) == {"inputs", "summary"}
+        inputs = tail["inputs"]
+        assert "out" not in inputs
+        assert len(lines) == trials
+        for line in lines:
+            r = json.loads(line)
+            assert set(r) == {"trial", "seed", "mode", "report"}
+            assert "window" not in r["report"]
+            # n, band and tol come from the file's own last line
+            again = run_trial(
+                r["trial"], inputs["n"], inputs["band"], r["seed"][0], r["mode"], inputs["tol"]
+            )
+            assert json_line(record_to_json(again)) == line
 
     def test_bad_geometry_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -624,6 +660,11 @@ SLOTS = {
 }
 
 
+#: Slots that take a JSON integer. They also draw from ``st.integers()``,
+#: since ``JSON_VALUES`` alone rarely puts a bare integer at the top.
+INTEGER_SLOTS = {"symbol band", "symbol n", "onesided n", "onesided n constant"}
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -667,6 +708,20 @@ class TestUsageErrors:
                 "--sequence", '{"constant":{"theta":0.1}}',
                 "--out", "out.json",
             ],
+            # sizes numpy refuses outright, without trying to allocate them
+            ["check-conjugation", "--kind", "j", "--n", "1000000000000000", "--out", "out.json"],
+            [
+                "explore", "--n", "1000000000000000", "--band", "1", "--trials", "1",
+                "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "unitary-seed", "--n", "1000000000",
+                "--trials", "1", "--out", "out.json",
+            ],
+            [
+                "check-symmetry", "--symbol", "sym.json", "--conjugation", '{"kind":"j"}',
+                "--n", "1000000000000000", "--out", "out.json",
+            ],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
@@ -683,7 +738,7 @@ class TestUsageErrors:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(slot=st.sampled_from(sorted(SLOTS)), data=st.data())
     def test_any_json_in_a_numeric_slot_is_handled(self, slot, data):
-        value = data.draw(JSON_VALUES)
+        value = data.draw(st.integers() | JSON_VALUES if slot in INTEGER_SLOTS else JSON_VALUES)
         with tempfile.TemporaryDirectory() as tmp:
             argv = SLOTS[slot](value, Path(tmp))
             with contextlib.redirect_stdout(io.StringIO()), \

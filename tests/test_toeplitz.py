@@ -400,7 +400,6 @@ class TestSymmetryReport:
         report = symmetry_report(sequence_conjugation(zeta), sym, 16)
         assert report.coeff_condition_holds is True
         assert report.entrywise_holds is not None
-        assert report.window == 16
         assert report.agree == ((report.residual <= report.tol) is True)
 
     def test_band_beyond_section_rejected(self):
@@ -417,7 +416,6 @@ class TestSymmetryReport:
         report = symmetry_report(op, sym, 12)
         assert report.coeff_condition_holds is None
         assert report.agree is None
-        assert report.window == 12
         assert report.residual == symmetry_residual(op, toeplitz_section(sym, 12))
 
     def test_builds_one_section_per_report(self, monkeypatch):
@@ -451,7 +449,6 @@ class TestSymmetryReport:
             # offset form against the dense product: the same norm to roundoff
             bound = op.dim * EPS * np.linalg.norm(toeplitz_section(sym, op.dim))
             assert abs(dense.residual - structured.residual) <= bound, name
-            assert dense.window == structured.window == op.dim, name
             for field in ("coeff_condition_holds", "max_coeff_violation", "agree",
                           "entrywise_holds", "entrywise_violation"):
                 assert getattr(dense, field) is None, (name, field)
@@ -584,11 +581,16 @@ class TestExploration:
     def test_records_reproducible_from_seed(self):
         records = explore_symmetry(12, 16, 3, seed=7, mode="mixed")
         again = explore_symmetry(12, 16, 3, seed=7, mode="mixed")
-        for a, b in zip(records, again):
+
+        def same(a, b):
+            # the JSON record omits the sequence and the symbol, so compare them here
             assert record_to_json(a) == record_to_json(b)
+            assert np.array_equal(a.zeta, b.zeta) and a.symbol == b.symbol
+
+        for a, b in zip(records, again):
+            same(a, b)
         # any single record regenerates alone from (seed, trial)
-        lone = run_trial(5, 16, 3, seed=7, mode="mixed")
-        assert record_to_json(lone) == record_to_json(records[5])
+        same(run_trial(5, 16, 3, seed=7, mode="mixed"), records[5])
 
     def test_constant_mode_always_agrees(self):
         records = explore_symmetry(30, 16, 3, seed=11, mode="constant")
