@@ -65,6 +65,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --n: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _emit_report(report: dict, out, started: float) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials=False, band=False, out_required=False, out_help=None):
-        p.add_argument("--n", type=int, default=32, help="truncation dimension N")
+        p.add_argument("--n", type=_positive_int, default=32, help="truncation dimension N")
         p.add_argument("--tol", type=_tolerance, default=1e-10, help="comparison tolerance")
         if trials:
             p.add_argument("--seed", type=int, default=0, help="random seed")

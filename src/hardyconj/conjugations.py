@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AntilinearMap, adjoint, frobenius_norm, inner_product
+from .core import _STACK_ENTRIES, AntilinearMap, adjoint, apply_antilinear, frobenius_norm
 
 __all__ = [
     "ConjugationCert",
@@ -51,12 +51,17 @@ def unimodular(values, tol: float = UNIMODULAR_TOL, start_index: int = 0) -> np.
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {v.shape}")
+    return _unimodular_rows(v, tol, start_index)
+
+
+def _unimodular_rows(v: np.ndarray, tol: float, start_index: int) -> np.ndarray:
+    """:func:`unimodular` on every row of a complex stack, indices along the last axis."""
     mod = np.abs(v)
-    bad = np.nonzero(~np.isfinite(mod) | (np.abs(mod - 1.0) > tol))[0]
+    bad = np.argwhere(~np.isfinite(mod) | (np.abs(mod - 1.0) > tol))
     if bad.size:
-        k = int(bad[0])
+        k = tuple(bad[0])
         raise ValueError(
-            f"entry at index {k + start_index} has modulus {mod[k]:.12g}, "
+            f"entry at index {k[-1] + start_index} has modulus {mod[k]:.12g}, "
             f"expected 1 within {tol:g}"
         )
     return v / mod
@@ -94,11 +99,14 @@ def squared_powers(zeta) -> np.ndarray:
     """Multipliers zeta_n ** (2n) for n = 0 .. len(zeta), entry 0 fixed to 1.
 
     ``zeta`` is indexed from 1, so ``zeta[j]`` is the entry for n = j + 1.
-    No unimodularity check is performed here.
+    A (k, n) stack gives one row of multipliers per sequence, each equal to
+    the result for that row alone. No unimodularity check is performed here.
     """
-    z = np.asarray(zeta, dtype=np.complex128)
-    n = np.arange(1, z.size + 1)
-    return np.concatenate(([1.0 + 0.0j], z ** (2 * n)))
+    z = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    powers = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = z ** (2 * np.arange(1, z.shape[-1] + 1))
+    return powers
 
 
 def sequence_conjugation(zeta) -> AntilinearMap:
@@ -219,11 +227,6 @@ class ConjugationCert:
     passed: bool
 
 
-def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def verify_conjugation(
     op: AntilinearMap, trials: int = 100, tol: float = 1e-10, seed=0
 ) -> ConjugationCert:
@@ -232,6 +235,13 @@ def verify_conjugation(
     Never raises on failure: invalid candidates are part of the intended
     input space, and the certificate reports how they fail. A diagonal
     factor is checked from its vector, without forming the N x N matrix.
+
+    The sampled axioms use ``trials`` pairs (f, g) of random unit vectors.
+    They are drawn, mapped and reduced as (k, N) stacks of at most
+    ``max(1, _STACK_ENTRIES // N)`` pairs at a time, so a large ``trials``
+    never allocates more than one block. The draws are the stream of one
+    pair after another (real and imaginary part of f, then of g), whatever
+    the block size, and each residual is the maximum over all pairs.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -249,11 +259,19 @@ def verify_conjugation(
     rng = np.random.default_rng(seed)
     isometry = 0.0
     involution = 0.0
-    for _ in range(trials):
-        f = _unit_vector(rng, n)
-        g = _unit_vector(rng, n)
-        isometry = max(isometry, abs(inner_product(op(f), op(g)) - inner_product(g, f)))
-        involution = max(involution, float(np.linalg.norm(op(op(f)) - f)))
+    step = max(1, _STACK_ENTRIES // n)
+    for start in range(0, trials, step):
+        x = rng.standard_normal((min(step, trials - start), 4, n))
+        f = x[:, 0] + 1j * x[:, 1]
+        g = x[:, 2] + 1j * x[:, 3]
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        cf = apply_antilinear(op, f)
+        # <Cf, Cg> - <g, f>, one pair per row
+        gap = np.sum(cf * np.conj(apply_antilinear(op, g)) - g * np.conj(f), axis=1)
+        isometry = max(isometry, float(np.max(np.abs(gap))))
+        back = np.linalg.norm(apply_antilinear(op, cf) - f, axis=1)
+        involution = max(involution, float(np.max(back)))
 
     passed = max(isometry, involution, a_unitarity, a_symmetry) <= tol
     return ConjugationCert(

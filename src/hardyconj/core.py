@@ -23,6 +23,12 @@ __all__ = [
     "inner_product",
 ]
 
+#: Complex entries in one stacked (rows x dim) work array, 1 MiB. Code that
+#: processes many vectors at once (certificate samples, explore trials)
+#: stacks at most ``max(1, _STACK_ENTRIES // dim)`` rows at a time, so its
+#: working memory does not grow with the number of vectors.
+_STACK_ENTRIES = 2**16
+
 
 def as_operator(matrix) -> np.ndarray:
     """Coerce to a finite, nonempty square complex128 matrix."""
@@ -91,12 +97,20 @@ class AntilinearMap:
 
 
 def apply_antilinear(op: AntilinearMap, f) -> np.ndarray:
-    """Image of the coefficient vector f under the antilinear map."""
+    """Image of the coefficient vector f under the antilinear map.
+
+    ``f`` is one vector of length ``op.dim`` or a (k, dim) stack of row
+    vectors, each mapped on its own. A diagonal factor gives every row
+    exactly the bits of the one-vector call; a dense factor maps the stack
+    with one matrix product, equal to the row-by-row result to roundoff.
+    """
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (op.dim,):
+    if f.ndim not in (1, 2) or f.shape[-1] != op.dim:
         raise ValueError(f"vector has shape {f.shape}, operator dimension is {op.dim}")
     d = op.diagonal
-    return op.factor @ np.conj(f) if d is None else d * np.conj(f)
+    if d is not None:
+        return d * np.conj(f)
+    return op.factor @ np.conj(f) if f.ndim == 1 else np.conj(f) @ op.factor.T
 
 
 def adjoint(matrix) -> np.ndarray:

@@ -104,6 +104,8 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
     ``start_index`` is the conventional index of the first entry, used in
     error messages.
     """
+    if count < 0:
+        raise ValueError(f"sequence length must be nonnegative, got {count}")
     if not isinstance(spec, dict):
         raise ValueError(f"sequence spec must be an object, got {type(spec).__name__}")
     keys = set(spec)

@@ -23,6 +23,14 @@ It coincides with the entrywise one whenever w is multiplicative in the
 index (in particular for the rotation family w_n = lam**n) but is weaker
 in general; :func:`explore_symmetry` measures how often they disagree
 against the operator-residual oracle.
+
+All three diagonal checks (residual, one-sided, entrywise) are one private
+kernel on stacks whose leading axis is the trial: coefficients (k, 2M + 1),
+multipliers and diagonals (k, N). The public functions call it with a
+stack of one; :func:`explore_symmetry` calls it once per block of at most
+``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
+complex entries, 1 MiB per stacked array). Rows never mix, so a record
+from a block equals :func:`run_trial` on its trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,14 +41,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .conjugations import (
+    UNIMODULAR_TOL,
+    _unimodular_rows,
     conjugation_from_unitary,
     random_unitary,
     rotation_conjugation,
-    sequence_conjugation,
     squared_powers,
     unimodular,
 )
-from .core import AntilinearMap, frobenius_norm
+from .core import _STACK_ENTRIES, AntilinearMap, frobenius_norm
 
 __all__ = [
     "ConditionReport",
@@ -227,10 +236,96 @@ def symmetry_residual(op: AntilinearMap, section, window: int | None = None) -> 
     return frobenius_norm(r[:w, :w])
 
 
-def _two_sided(symbol: LaurentSymbol, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c(p), c(-p)) for p = 0 .. m, as two arrays indexed by p."""
-    b = symbol.band
-    return symbol.coeffs[b : b + m + 1], symbol.coeffs[b - m : b + 1][::-1]
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays of one shape, spelled in real arithmetic.
+
+    numpy's vectorized complex multiply may round differently from the
+    scalar one; this form rounds like the scalar product. The one-sided
+    completion and the one-sided check both use it, so a completed symbol
+    meets the check with violation exactly zero.
+    """
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _offset_criteria(coeffs, onesided=None, entrywise=None, diagonal=None):
+    """The diagonal-map checks for a stack of k trials, one trial per row.
+
+    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M). Each
+    keyword takes a (k, width) array and turns on one output:
+
+    - ``onesided``: multipliers w_0 .. w_M; max_n |c(n) w_n - c(-n)|;
+    - ``entrywise``: multipliers w_0 .. w_{N-1}; the largest
+      |w[k+p] c(p) - w[k] c(-p)| over offsets p = 1 .. min(M, N - 1);
+    - ``diagonal``: the factor's diagonal d_0 .. d_{N-1}; the Frobenius
+      norm of D conj(T) - T^H D, sqrt(2 * sum |d[k+p] conj(c(p)) -
+      conj(c(-p)) d[k]|^2) over the same offsets.
+
+    Returns (onesided, entrywise, residual) as (k,) float arrays, None
+    where the input is None. Each offset is one set of array operations
+    over the whole stack, written into work arrays of O(k * N) entries
+    that are allocated once per call. Rows never mix, so a row's results
+    have the same bits whatever else is stacked with it.
+    """
+    k, width = coeffs.shape
+    band = width // 2
+    # column p of plus / minus is c(p) / c(-p) for p = 0 .. band, shaped (k, 1)
+    plus = coeffs[:, band:, None]
+    minus = coeffs[:, band::-1, None]
+    one = ent = res = None
+    if onesided is not None:
+        gap = _times(plus[..., 0], onesided) - minus[..., 0]
+        # hypot rounds like the scalar abs the completion rule was checked with
+        one = np.hypot(gap.real, gap.imag).max(axis=1)
+    if entrywise is None and diagonal is None:
+        return one, ent, res
+    dim = (diagonal if entrywise is None else entrywise).shape[1]
+    m = min(band, dim - 1)
+    # reused across offsets: at large N a fresh temporary per operation is
+    # paged in anew each time
+    x_work = np.empty((k, dim - 1), dtype=np.complex128)
+    y_work = np.empty_like(x_work)
+    real_work = np.empty((k, 2 * (dim - 1)))
+    if entrywise is not None:
+        w = entrywise
+        peaks = np.zeros((k, m + 1))  # column p: each trial's largest gap at offset p
+    if diagonal is not None:
+        d = diagonal
+        squares = np.zeros((k, m + 1))  # column p: each trial's sum of squares at offset p
+        conj_plus, conj_minus = np.conj(plus), np.conj(minus)
+    for p in range(1, m + 1):
+        n = dim - p
+        x, y = x_work[:, :n], y_work[:, :n]
+        if entrywise is not None:
+            np.multiply(w[:, p:], plus[:, p], x)
+            np.multiply(w[:, :n], minus[:, p], y)
+            np.subtract(x, y, x)
+            # the vector abs, as in the dense section reference
+            np.abs(x, real_work[:, :n]).max(axis=1, out=peaks[:, p])
+        if diagonal is not None:
+            np.multiply(d[:, p:], conj_plus[:, p], x)
+            np.multiply(conj_minus[:, p], d[:, :n], y)
+            np.subtract(x, y, x)
+            # square, then sum along rows: unlike einsum, or a sum down a
+            # column, this gives a row the same bits at any stack height
+            np.square(x.view(np.float64), real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
+    if entrywise is not None:
+        ent = peaks.max(axis=1)
+    if diagonal is not None:
+        res = np.sqrt(2.0 * squares.sum(axis=1))
+    return one, ent, res
+
+
+def _section_diagonal(op: AntilinearMap, dim: int) -> np.ndarray:
+    """The diagonal vector of ``op``, which must act on a dim x dim section."""
+    d = op.diagonal
+    if d is None:
+        raise ValueError("linear factor is dense; build the map from its diagonal vector")
+    if d.size != dim:
+        raise ValueError(f"operator dimension {d.size} does not match section size {dim}")
+    return d
 
 
 def diagonal_residual(op: AntilinearMap, symbol: LaurentSymbol, dim: int) -> float:
@@ -244,19 +339,8 @@ def diagonal_residual(op: AntilinearMap, symbol: LaurentSymbol, dim: int) -> flo
     ``toeplitz_section(symbol, dim)`` up to roundoff. A dense factor
     raises, as in :func:`diagonal_multipliers`.
     """
-    d = op.diagonal
-    if d is None:
-        raise ValueError("linear factor is dense; build the map from its diagonal vector")
-    if d.size != dim:
-        raise ValueError(f"operator dimension {d.size} does not match section size {dim}")
-    m = min(symbol.band, dim - 1)
-    plus, minus = map(np.conj, _two_sided(symbol, m))
-    total = 0.0
-    # one offset at a time keeps memory O(dim) when the band is near dim
-    for p in range(1, m + 1):
-        r = d[p:] * plus[p] - minus[p] * d[:-p]
-        total += np.vdot(r, r).real
-    return float(np.sqrt(2.0 * total))
+    d = _section_diagonal(op, dim)
+    return float(_offset_criteria(symbol.coeffs[None], diagonal=d[None])[2][0])
 
 
 def sequence_multipliers(zeta, count: int) -> np.ndarray:
@@ -283,12 +367,17 @@ def diagonal_multipliers(op: AntilinearMap) -> np.ndarray:
     d = op.diagonal
     if d is None:
         raise ValueError("linear factor is dense; build the map from its diagonal vector")
+    return _multipliers(d)
+
+
+def _multipliers(d: np.ndarray) -> np.ndarray:
+    """:func:`diagonal_multipliers` of every row of a stack of diagonals."""
     # validate but do not renormalize: constructed diagonals are exact already,
     # and renormalizing here would perturb multipliers that the one-sided
     # completion rule reproduces bit for bit
     if np.max(np.abs(np.abs(d) - 1.0)) > 1e-8:
         raise ValueError("diagonal entries are not unimodular")
-    return np.conj(d) * d[0]
+    return np.conj(d) * d[..., :1]
 
 
 @dataclass(frozen=True)
@@ -310,13 +399,7 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < m + 1:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
-    # scalar arithmetic on purpose: it matches the completion rule in
-    # generate_symmetric_symbol bit for bit, so completed symbols report a
-    # violation of exactly zero
-    violation = max(
-        abs(symbol.coeff(n) * w[n] - symbol.coeff(-n)) for n in range(m + 1)
-    )
-    violation = float(violation)
+    violation = float(_offset_criteria(symbol.coeffs[None], onesided=w[None, : m + 1])[0][0])
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -337,11 +420,7 @@ def entrywise_condition(
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    w = w[:dim]
-    m = min(symbol.band, dim - 1)
-    plus, minus = _two_sided(symbol, m)
-    peaks = [np.max(np.abs(w[p:] * plus[p] - w[:-p] * minus[p])) for p in range(1, m + 1)]
-    violation = float(np.max(peaks, initial=0.0))
+    violation = float(_offset_criteria(symbol.coeffs[None], entrywise=w[None, :dim])[1][0])
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -375,12 +454,23 @@ def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> L
         raise ValueError("one-sided coefficients are indexed from 1")
     band = max(items, default=0)
     w = sequence_multipliers(zeta, band + 1)
-    c = np.zeros(2 * band + 1, dtype=np.complex128)
+    n = np.fromiter(items, dtype=np.intp, count=len(items))
+    values = np.fromiter(items.values(), dtype=np.complex128, count=len(items))
+    c = _completed(band, n, values, w)
     c[band] = zero_coeff
-    for n, value in items.items():
-        c[band + n] = value
-        c[band - n] = value * w[n]
     return LaurentSymbol(band, c)
+
+
+def _completed(band: int, n: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients c(-band) .. c(band) along the last axis of a stack.
+
+    c(n) = values and c(-n) = values * w_n, formed as in the one-sided
+    check; every other entry, c(0) included, is zero.
+    """
+    c = np.zeros(values.shape[:-1] + (2 * band + 1,), dtype=np.complex128)
+    c[..., band + n] = values
+    c[..., band - n] = _times(values, w[..., n])
+    return c
 
 
 @dataclass(frozen=True)
@@ -435,19 +525,30 @@ def symmetry_report(
             agree=None,
             tol=tol,
         )
-    residual = diagonal_residual(op, symbol, dim)
-    w = diagonal_multipliers(op)
-    one = onesided_condition(symbol, w, tol)
-    ent = entrywise_condition(symbol, w, dim, tol)
-    return SymmetryReport(
-        residual=residual,
-        coeff_condition_holds=one.holds,
-        max_coeff_violation=one.max_violation,
-        agree=(residual <= tol) == one.holds,
-        tol=tol,
-        entrywise_holds=ent.holds,
-        entrywise_violation=ent.max_violation,
-    )
+    d = _section_diagonal(op, dim)
+    return _diagonal_reports(d[None], symbol.coeffs[None], tol)[0]
+
+
+def _diagonal_reports(d: np.ndarray, coeffs: np.ndarray, tol: float) -> list[SymmetryReport]:
+    """One report per row of a stack of diagonals (k, dim) and symbols (k, 2M + 1).
+
+    The whole stack goes through :func:`_offset_criteria` once; needs M <= dim - 1.
+    """
+    w = _multipliers(d)
+    band = coeffs.shape[1] // 2
+    one, ent, res = _offset_criteria(coeffs, onesided=w[:, : band + 1], entrywise=w, diagonal=d)
+    return [
+        SymmetryReport(
+            residual=r,
+            coeff_condition_holds=o <= tol,
+            max_coeff_violation=o,
+            agree=(r <= tol) == (o <= tol),
+            tol=tol,
+            entrywise_holds=e <= tol,
+            entrywise_violation=e,
+        )
+        for r, o, e in zip(res.tolist(), one.tolist(), ent.tolist())
+    ]
 
 
 EXPLORE_MODES = ("mixed", "generic", "symmetrized", "constant", "unitary")
@@ -465,36 +566,74 @@ class ExplorationRecord:
     report: SymmetryReport
 
 
-def run_trial(
-    trial: int, dim: int, band: int, seed: int, mode: str = "mixed", tol: float = DEFAULT_TOL
-) -> ExplorationRecord:
-    """Run a single exploration trial; (seed, trial) fixes every draw."""
+def _check_explore(dim: int, band: int, mode: str) -> None:
     if not dim > band >= 1:
         raise ValueError("need dim > band >= 1")
     if mode not in EXPLORE_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {EXPLORE_MODES}")
-    resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
-    rng = np.random.default_rng((seed, trial))
 
-    if resolved == "unitary":
-        zeta = None
-        op = conjugation_from_unitary(random_unitary(dim, rng))
-        symbol = random_symbol(band, rng)
-    else:
-        if resolved == "constant":
-            zeta = np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-        else:
-            zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1))
-        if resolved == "generic":
+
+def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> list:
+    """Records for ``trials``; in a diagonal mode they are checked as one stack.
+
+    Each trial draws from its own ``default_rng((seed, trial))`` in a fixed
+    order: the sequence, then the symbol (or its one-sided half, which the
+    stacked completion finishes). Only the draws are per trial; everything
+    stacked is per row, so a trial gets the same bits alone or in any block.
+    """
+    if mode == "unitary":
+        records = []
+        for trial in trials:
+            rng = np.random.default_rng((seed, trial))
+            op = conjugation_from_unitary(random_unitary(dim, rng))
             symbol = random_symbol(band, rng)
-        else:
-            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
-            onesided = {n: raw[n] / (1.0 + n) for n in range(1, band + 1)}
-            symbol = generate_symmetric_symbol(onesided, zero_coeff=raw[0], zeta=zeta)
-        op = sequence_conjugation(zeta)
+            report = symmetry_report(op, symbol, dim, tol)
+            records.append(ExplorationRecord(trial, (seed, trial), mode, None, symbol, report))
+        return records
 
-    report = symmetry_report(op, symbol, dim, tol)
-    return ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
+    modes, zetas, symbols = [], [], []
+    for trial in trials:
+        resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
+        rng = np.random.default_rng((seed, trial))
+        if resolved == "constant":
+            zetas.append(np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+        else:
+            zetas.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1)))
+        if resolved == "generic":
+            symbols.append(random_symbol(band, rng))
+        else:
+            # c(0) and c(n) = raw_n / (1 + n) for n >= 1; completed below
+            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
+            raw[1:] /= 1.0 + np.arange(1, band + 1)
+            symbols.append(raw)
+        modes.append(resolved)
+
+    # the multipliers of sequence_conjugation(zeta), unimodular check included
+    w = squared_powers(_unimodular_rows(np.stack(zetas), UNIMODULAR_TOL, 1))
+    halves = [i for i, s in enumerate(symbols) if not isinstance(s, LaurentSymbol)]
+    if halves:
+        half = np.stack([symbols[i] for i in halves])
+        completed = _completed(band, np.arange(1, band + 1), half[:, 1:], w[halves])
+        completed[:, band] = half[:, 0]
+        for i, c in zip(halves, completed):
+            symbols[i] = LaurentSymbol(band, c)  # the finiteness check, per symbol
+    reports = _diagonal_reports(np.conj(w), np.stack([s.coeffs for s in symbols]), tol)
+    return [
+        ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
+        for trial, resolved, zeta, symbol, report in zip(trials, modes, zetas, symbols, reports)
+    ]
+
+
+def run_trial(
+    trial: int, dim: int, band: int, seed: int, mode: str = "mixed", tol: float = DEFAULT_TOL
+) -> ExplorationRecord:
+    """Run a single exploration trial; (seed, trial) fixes every draw.
+
+    This is :func:`explore_symmetry`'s block path with a block of one, so
+    the record equals that trial's record in any exploration, bit for bit.
+    """
+    _check_explore(dim, band, mode)
+    return _run_block([trial], dim, band, seed, mode, tol)[0]
 
 
 def explore_symmetry(
@@ -517,10 +656,25 @@ def explore_symmetry(
     independent and each reseeds from (seed, trial), so :func:`run_trial`
     regenerates any record alone, sequence and symbol included; a JSON
     record therefore carries only the pair, the resolved mode and the report.
+
+    Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``. Within a
+    block every trial is drawn on its own, in trial order, and the
+    diagonal ones (all modes but ``unitary``) are then completed and
+    checked together: their multiplier vectors form a (trials, dim) stack
+    and their coefficients a (trials, 2 * band + 1) stack, and each offset
+    of the criteria is one set of array operations over the stack. A
+    ``unitary`` trial is checked on its own through :func:`symmetry_report`.
+    Rows never mix, so every record has the bits :func:`run_trial` gives
+    it alone; working memory stays at a few stacks of 1 MiB.
     """
     if num_trials < 1:
         raise ValueError("need at least one trial")
-    return [run_trial(t, dim, band, seed, mode, tol) for t in range(num_trials)]
+    _check_explore(dim, band, mode)
+    step = max(1, _STACK_ENTRIES // dim)
+    records = []
+    for start in range(0, num_trials, step):
+        records += _run_block(range(start, min(start + step, num_trials)), dim, band, seed, mode, tol)
+    return records
 
 
 def summarize_exploration(records) -> dict:

@@ -708,6 +708,20 @@ class TestUsageErrors:
                 "--sequence", '{"constant":{"theta":0.1}}',
                 "--out", "out.json",
             ],
+            # --n must be a positive integer
+            [
+                "check-conjugation", "--kind", "zeta",
+                "--sequence", '{"thetas":[0.1,0.2,0.3,0.4,0.5,0.6]}', "--n", "-2",
+                "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "alpha", "--sequence", '{"values":[1,1,1]}',
+                "--n", "-1", "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "zeta", "--sequence", '{"thetas":[0.1]}',
+                "--n", "0", "--out", "out.json",
+            ],
             # sizes numpy refuses outright, without trying to allocate them
             ["check-conjugation", "--kind", "j", "--n", "1000000000000000", "--out", "out.json"],
             [

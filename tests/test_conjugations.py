@@ -18,6 +18,7 @@ from hardyconj import (
     verify_conjugation,
 )
 from hardyconj.conjugations import orthonormalize
+from hardyconj.core import _STACK_ENTRIES, inner_product
 
 
 def random_angles(rng, n):
@@ -38,6 +39,23 @@ def gram_schmidt(matrix):
             if j + 1 < n:
                 q[:, j + 1 :] -= np.outer(q[:, j], np.conj(q[:, j]) @ q[:, j + 1 :])
     return q
+
+
+def per_pair_samples(op, trials, seed):
+    """Reference sampled residuals: (isometry, involution) drawn and reduced one pair at a time."""
+    rng = np.random.default_rng(seed)
+
+    def unit_vector():
+        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        return v / np.linalg.norm(v)
+
+    isometry = involution = 0.0
+    for _ in range(trials):
+        f = unit_vector()
+        g = unit_vector()
+        isometry = max(isometry, abs(inner_product(op(f), op(g)) - inner_product(g, f)))
+        involution = max(involution, float(np.linalg.norm(op(op(f)) - f)))
+    return isometry, involution
 
 
 class TestUnimodular:
@@ -269,6 +287,43 @@ class TestVerifyConjugation:
                 "a_symmetry_residual",
             ):
                 assert abs(getattr(cert, field) - getattr(dense, field)) <= 1e-14, (name, field)
+
+    def test_block_samples_match_the_per_pair_reference(self, diagonal_families):
+        dim = diagonal_families[0][1].dim
+        rng = np.random.default_rng((5, dim))
+        gaussian = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        # failing maps too: their residuals are O(1) and depend on every draw
+        cases = diagonal_families + [
+            ("dense zeta", AntilinearMap(diagonal_families[3][1].a_matrix)),
+            ("unitary", conjugation_from_unitary(random_unitary(dim, dim))),
+            ("scaled", AntilinearMap(2.0 * np.ones(dim))),
+            ("antisymmetric", AntilinearMap(random_unitary(dim, 7) - random_unitary(dim, 7).T)),
+            ("gaussian", AntilinearMap(gaussian / dim)),
+        ]
+        for name, op in cases:
+            self.assert_matches_reference(name, op, trials=30, seed=dim)
+
+    def test_block_samples_match_the_reference_across_blocks(self):
+        # more pairs than one block holds, for a diagonal and a dense map
+        rng = np.random.default_rng(53)
+        for dim, trials in ((4096, 40), (256, 600)):
+            assert trials > 2 * max(1, _STACK_ENTRIES // dim)
+            zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1))
+            self.assert_matches_reference("zeta", sequence_conjugation(zeta), trials, seed=dim)
+            self.assert_matches_reference("scaled", AntilinearMap(1.5 * np.ones(dim)), trials, 3)
+        dense = conjugation_from_unitary(random_unitary(256, 59))
+        self.assert_matches_reference("unitary", dense, trials=600, seed=61)
+
+    @staticmethod
+    def assert_matches_reference(name, op, trials, seed):
+        cert = verify_conjugation(op, trials=trials, seed=seed)
+        isometry, involution = per_pair_samples(op, trials, seed)
+        assert abs(cert.isometry_residual - isometry) <= 1e-15, name
+        assert abs(cert.involution_residual - involution) <= 1e-15, name
+        reference_passed = max(
+            isometry, involution, cert.a_unitarity_residual, cert.a_symmetry_residual
+        ) <= cert.tol
+        assert cert.passed == reference_passed, name
 
     def test_diagonal_certificate_never_builds_dense_factor(self, diagonal_families, monkeypatch):
         def refuse(self):

@@ -62,6 +62,28 @@ class TestApplyAntilinear:
         with pytest.raises(ValueError, match="dimension"):
             apply_antilinear(op, [1, 2])
 
+    def test_stack_rows_equal_single_vectors(self, diagonal_families):
+        dim = diagonal_families[0][1].dim
+        rng = np.random.default_rng(dim)
+        stack = rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim))
+        for name, op in diagonal_families:
+            images = apply_antilinear(op, stack)
+            dense = apply_antilinear(AntilinearMap(op.a_matrix), stack)
+            assert images.shape == dense.shape == stack.shape
+            for i, f in enumerate(stack):
+                # a diagonal factor maps each row with the bits of a single call;
+                # a dense one uses one matrix product, equal to roundoff
+                assert images[i].tobytes() == apply_antilinear(op, f).tobytes(), name
+                single = apply_antilinear(AntilinearMap(op.a_matrix), f)
+                bound = 4 * dim * np.finfo(np.float64).eps * np.linalg.norm(f)
+                assert np.max(np.abs(dense[i] - single)) <= bound, name
+
+    def test_rejects_stack_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="dimension"):
+            apply_antilinear(AntilinearMap(np.eye(3)), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="dimension"):
+            apply_antilinear(AntilinearMap(np.ones(3)), np.ones((2, 2, 3)))
+
     def test_antilinearity(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -80,6 +80,14 @@ class TestParseSequenceSpec:
         with pytest.raises(ValueError, match="index 3 missing"):
             parse_sequence_spec({"thetas": [0.1, 0.2]}, 3, start_index=1)
 
+    @pytest.mark.parametrize(
+        "spec", [{"thetas": [0.1, 0.2, 0.3]}, {"values": [1.0, 1.0]}, {"constant": 1.0}]
+    )
+    def test_rejects_negative_count(self, spec):
+        # a negative count would otherwise slice entries off the end of the list
+        with pytest.raises(ValueError, match="nonnegative"):
+            parse_sequence_spec(spec, -2)
+
     def test_rejects_multiple_forms(self):
         with pytest.raises(ValueError, match="exactly one"):
             parse_sequence_spec({"thetas": [0.1], "values": []}, 1)

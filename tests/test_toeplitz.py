@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyconj import (
     AntilinearMap,
@@ -36,8 +38,9 @@ from hardyconj import (
     unimodular,
 )
 import hardyconj.toeplitz
-from hardyconj.jsonio import record_to_json
-from hardyconj.toeplitz import matrix_bandwidth
+from hardyconj.core import _STACK_ENTRIES
+from hardyconj.jsonio import json_line, record_to_json
+from hardyconj.toeplitz import EXPLORE_MODES, matrix_bandwidth
 
 
 EPS = np.finfo(np.float64).eps
@@ -376,6 +379,31 @@ class TestGenerateSymmetricSymbol:
         with pytest.raises(ValueError, match="indexed from 1"):
             generate_symmetric_symbol({0: 1.0})
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        band=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        constant=st.booleans(),
+        scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e9]),
+    )
+    def test_completion_meets_the_onesided_check_exactly(self, band, seed, constant, scale):
+        # the completion and the check must form c(n) * w_n with the same
+        # rounding; numpy's vector complex multiply rounds differently from
+        # the scalar one in a large share of products, so a mismatch shows
+        rng = np.random.default_rng(seed)
+        zeta = (
+            np.full(band, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            if constant
+            else random_zeta(rng, band)
+        )
+        present = rng.random(band) < 0.8
+        present[-1] = True
+        values = scale * (rng.standard_normal(band) + 1j * rng.standard_normal(band))
+        onesided = {n: values[n - 1] for n in range(1, band + 1) if present[n - 1]}
+        sym = generate_symmetric_symbol(onesided, zero_coeff=values[0], zeta=zeta)
+        report = onesided_condition(sym, sequence_multipliers(zeta, band + 1))
+        assert report.max_violation == 0.0
+
 
 class TestMatrixBandwidth:
     def test_diagonal_is_zero(self):
@@ -637,3 +665,90 @@ class TestExploration:
         zeta = np.array([1j, np.exp(1j * np.pi / 4.0)])
         w = sequence_multipliers(zeta, 3)
         np.testing.assert_allclose(w, [1.0, -1.0, -1.0], atol=1e-14)
+
+
+def same_record(block, alone):
+    """A record from a block equals the record of its trial run alone."""
+    assert json_line(record_to_json(block)) == json_line(record_to_json(alone))
+    assert (block.trial, block.seed, block.mode) == (alone.trial, alone.seed, alone.mode)
+    if block.zeta is None:
+        assert alone.zeta is None
+    else:
+        assert np.array_equal(block.zeta, alone.zeta)
+    assert block.symbol == alone.symbol
+
+
+class TestExplorationBlocks:
+    """explore_symmetry checks its diagonal trials as stacks; each record still replays alone."""
+
+    @pytest.mark.parametrize("mode", EXPLORE_MODES)
+    def test_every_record_equals_its_trial_alone(self, mode):
+        records = explore_symmetry(200, 24, 4, seed=31, mode=mode)
+        for t, record in enumerate(records):
+            same_record(record, run_trial(t, 24, 4, seed=31, mode=mode))
+
+    @pytest.mark.parametrize("mode", [m for m in EXPLORE_MODES if m != "unitary"])
+    def test_records_equal_their_trials_across_blocks(self, mode):
+        dim, trials = 4096, 40
+        assert trials > 2 * max(1, _STACK_ENTRIES // dim)  # three blocks or more
+        records = explore_symmetry(trials, dim, 8, seed=37, mode=mode)
+        for t, record in enumerate(records):
+            same_record(record, run_trial(t, dim, 8, seed=37, mode=mode))
+
+    @pytest.mark.parametrize("dim, band, height", [(2, 1, 5), (24, 4, 64), (4500, 9, 7), (9000, 3, 3)])
+    def test_kernel_rows_do_not_depend_on_the_stack(self, dim, band, height):
+        # stacks long enough that a buffered reduction would split rows
+        rng = np.random.default_rng((47, dim))
+        d = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (height, dim)))
+        coeffs = rng.standard_normal((height, 2 * band + 1)) + 1j * rng.standard_normal(
+            (height, 2 * band + 1)
+        )
+        w = hardyconj.toeplitz._multipliers(d)
+
+        def kernel(i):
+            rows = slice(None) if i is None else slice(i, i + 1)
+            return hardyconj.toeplitz._offset_criteria(
+                coeffs[rows], onesided=w[rows, : band + 1], entrywise=w[rows], diagonal=d[rows]
+            )
+
+        stacked = kernel(None)
+        for i in range(height):
+            for whole, alone in zip(stacked, kernel(i)):
+                assert whole[i].tobytes() == alone[0].tobytes(), i
+
+    def test_memory_is_bounded_by_the_block(self):
+        # at N = 2**16 a block holds one trial; the records keep their
+        # sequences (8 x 1 MiB), and one block's work adds about as much
+        # again, while a single stack of all 8 trials would peak near 60 MB
+        tracemalloc.start()
+        try:
+            records = explore_symmetry(8, 2**16, 8, seed=41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 8
+        assert peak < 20_000_000
+
+    def test_mixed_run_checks_each_block_once(self, monkeypatch):
+        reports, kernels = [], []
+        report, kernel = hardyconj.toeplitz.symmetry_report, hardyconj.toeplitz._offset_criteria
+
+        def counting_report(*args, **kwargs):
+            reports.append(args)
+            return report(*args, **kwargs)
+
+        def counting_kernel(coeffs, **kwargs):
+            kernels.append(coeffs.shape[0])
+            return kernel(coeffs, **kwargs)
+
+        monkeypatch.setattr(hardyconj.toeplitz, "symmetry_report", counting_report)
+        monkeypatch.setattr(hardyconj.toeplitz, "_offset_criteria", counting_kernel)
+        explore_symmetry(200, 24, 4, seed=43, mode="mixed")
+        assert reports == []
+        assert kernels == [200]
+        kernels.clear()
+        explore_symmetry(40, 4096, 8, seed=43, mode="mixed")
+        assert reports == []
+        step = _STACK_ENTRIES // 4096
+        assert kernels == [step] * (40 // step) + [40 % step] * (40 % step > 0)
+
