@@ -16,6 +16,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -287,10 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process.
+
+    Building the tree costs about as much as a small request. Parsing
+    leaves the parser unchanged: every call gets a fresh namespace filled
+    from the defaults, and a usage error only prints and exits.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

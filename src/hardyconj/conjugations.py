@@ -41,6 +41,15 @@ __all__ = [
 #: algebra, not input noise.
 UNIMODULAR_TOL = 1e-12
 
+#: Exponents below this limit are the range in which numpy's complex power
+#: multiplies repeatedly; from it on numpy calls libm ``cpow``.
+_REPEATED_POWER_LIMIT = 100
+
+#: Grid of the high part of a split angle. |theta| <= pi < 4, so a multiple
+#: of 2**-24 has at most 26 significant bits and e * theta_hi is exact in
+#: double for every integer e < 2**27.
+_ANGLE_GRID = 2.0**-24
+
 
 def unimodular(values, tol: float = UNIMODULAR_TOL, start_index: int = 0) -> np.ndarray:
     """Check every entry has modulus 1 within ``tol``, then renormalize.
@@ -82,8 +91,8 @@ def rotation_conjugation(lam: complex, dim: int) -> AntilinearMap:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    lam = complex(unimodular([lam])[0])
-    return AntilinearMap(np.conj(lam ** np.arange(dim)))
+    lam = unimodular([lam])
+    return AntilinearMap(np.conj(_unit_powers(lam, np.arange(dim))))
 
 
 def phase_conjugation(phases) -> AntilinearMap:
@@ -101,12 +110,99 @@ def squared_powers(zeta) -> np.ndarray:
     ``zeta`` is indexed from 1, so ``zeta[j]`` is the entry for n = j + 1.
     A (k, n) stack gives one row of multipliers per sequence, each equal to
     the result for that row alone. No unimodularity check is performed here.
+    From exponent 100 on a power comes from an exactly split angle instead
+    of libm ``cpow``, so its phase error does not grow as n * eps. There
+    an entry with a part above about 1e150 gives NaN where ``cpow`` gave
+    an overflowed inf.
     """
     z = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
     powers = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
     powers[..., 0] = 1.0
-    powers[..., 1:] = z ** (2 * np.arange(1, z.shape[-1] + 1))
+    powers[..., 1:] = _unit_powers(z, 2 * np.arange(1, z.shape[-1] + 1))
     return powers
+
+
+def _unit_powers(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``z ** e`` along the last axis, for nondecreasing integer exponents ``e >= 0``.
+
+    ``z`` is a 1-D array or a (k, len(e)) stack, or has length one and is
+    raised to every exponent. Below ``_REPEATED_POWER_LIMIT`` the result is
+    ``z ** e`` bit for bit, so exact products such as 1j ** 2 == -1 stay
+    exact. From the limit on it is exp(e log|z|) * exp(i e theta_hi) *
+    exp(i e theta_lo), with arg z split by :func:`_split_angle`: e * theta_hi
+    is exact and only the small e * theta_lo is rounded, whereas ``cpow``
+    rounds the whole phase e * theta to about e * eps. The powers of one z
+    thus stay a geometric sequence to roundoff.
+    """
+    z = np.broadcast_to(z, z.shape[:-1] + e.shape)
+    split = int(np.searchsorted(e, _REPEATED_POWER_LIMIT))
+    powers = np.empty(z.shape, dtype=np.complex128)
+    powers[..., :split] = z[..., :split] ** e[:split]
+    if split < e.size:
+        z, e = z[..., split:], e[split:]
+        modulus = np.exp(e * _log_modulus(z))
+        hi, lo = _split_angle(z)
+        big, turn = powers[..., split:], np.empty(z.shape, dtype=np.complex128)
+        for angle, out in ((e * hi, big), (e * lo, turn)):
+            np.cos(angle, out=out.real)
+            np.sin(angle, out=out.imag)
+        big *= turn
+        big *= modulus
+    return powers
+
+
+def _split_angle(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """arg z as theta_hi + theta_lo exactly, theta_hi a multiple of ``_ANGLE_GRID``."""
+    theta = np.angle(z)
+    hi = np.round(theta / _ANGLE_GRID) * _ANGLE_GRID
+    return hi, theta - hi
+
+
+def _log_modulus(z: np.ndarray) -> np.ndarray:
+    """log|z| as log1p(x**2 + y**2 - 1) / 2, that argument formed to about eps**2.
+
+    A rounded |z| is off by up to eps relative, which |z|**e grows to
+    e * eps. Near the unit circle x**2 + y**2 - 1 is tiny, so it is summed
+    without rounding from the exact squares: Fast2Sum of the two leading
+    parts gives s + t exactly, s - 1 is exact for s in [1/2, 2] (Sterbenz),
+    and only the tails, near eps**2, are rounded. Meant for moduli near
+    one; a zero entry gives log 0 = -inf.
+    """
+    px, qx = _exact_square(z.real)
+    py, qy = _exact_square(z.imag)
+    qx += qy
+    # in place: s = a + b, t = b - (s - a) with a, b the larger and smaller square
+    a = np.maximum(px, py)
+    t = np.minimum(px, py, out=py)
+    s = np.add(a, t, out=px)
+    a -= s
+    t += a
+    t += qx
+    s -= 1.0
+    s += t
+    return 0.5 * np.log1p(s)
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) with p = fl(x * x) and p + q == x * x exactly.
+
+    Dekker's product on Veltkamp's split of x into two 26-bit halves
+    (Dekker, "A floating-point technique for extending the available
+    precision", Numer. Math. 18, 1971). Needs |x| below about 1e150.
+    """
+    hi = 134217729.0 * x  # 2**27 + 1
+    hi -= hi - x
+    lo = x - hi
+    p = x * x
+    # q = ((hi * hi - p) + 2 * hi * lo) + lo * lo, in place to bound the temporaries
+    q = hi * hi
+    q -= p
+    hi *= 2.0
+    hi *= lo
+    q += hi
+    lo *= lo
+    q += lo
+    return p, q
 
 
 def sequence_conjugation(zeta) -> AntilinearMap:
@@ -216,7 +312,8 @@ class ConjugationCert:
     ``isometry_residual`` and ``involution_residual`` come from seeded
     random sampling; ``a_unitarity_residual`` = ||A*A - I||_F and
     ``a_symmetry_residual`` = ||A - A^T||_F are deterministic matrix
-    checks. ``passed`` is True iff all four are at most ``tol``.
+    checks. A check that overflows to NaN reports inf. ``passed`` is True
+    iff all four are at most ``tol``.
     """
 
     isometry_residual: float
@@ -225,6 +322,18 @@ class ConjugationCert:
     a_symmetry_residual: float
     tol: float
     passed: bool
+
+
+def _residual(value) -> float:
+    """``value`` as a float, with NaN read as inf.
+
+    A check on a map with huge entries overflows, and inf - inf or 0 * inf
+    makes NaN. Python's ``max`` drops a NaN that is not its first
+    argument, so the map would read as a perfect isometry, and a dense
+    factor would even pass.
+    """
+    value = float(value)
+    return np.inf if np.isnan(value) else value
 
 
 def verify_conjugation(
@@ -249,7 +358,7 @@ def verify_conjugation(
     d = op.diagonal
     if d is None:
         a = op.factor
-        a_unitarity = frobenius_norm(adjoint(a) @ a - np.eye(n))
+        a_unitarity = _residual(frobenius_norm(adjoint(a) @ a - np.eye(n)))
         a_symmetry = frobenius_norm(a - a.T)
     else:
         # a diagonal A is symmetric, and A*A - I is diagonal with entries |d|^2 - 1
@@ -269,9 +378,9 @@ def verify_conjugation(
         cf = apply_antilinear(op, f)
         # <Cf, Cg> - <g, f>, one pair per row
         gap = np.sum(cf * np.conj(apply_antilinear(op, g)) - g * np.conj(f), axis=1)
-        isometry = max(isometry, float(np.max(np.abs(gap))))
+        isometry = max(isometry, _residual(np.max(np.abs(gap))))
         back = np.linalg.norm(apply_antilinear(op, cf) - f, axis=1)
-        involution = max(involution, float(np.max(back)))
+        involution = max(involution, _residual(np.max(back)))
 
     passed = max(isometry, involution, a_unitarity, a_symmetry) <= tol
     return ConjugationCert(

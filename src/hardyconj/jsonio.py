@@ -270,11 +270,16 @@ def record_to_json(record: ExplorationRecord) -> dict:
     }
 
 
+# built once: json.dumps with options constructs a new encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
     """Deterministic pretty JSON document (sorted keys, trailing newline)."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _CANONICAL.encode(obj) + "\n"
 
 
 def json_line(obj) -> str:
     """Deterministic single-line JSON record."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _LINE.encode(obj) + "\n"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyconj import cli
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
 from hardyconj.jsonio import json_line, record_to_json
 from hardyconj.toeplitz import run_trial
@@ -812,3 +813,49 @@ class TestSubprocessDeterminism:
             )
             assert proc.returncode == 0, proc.stderr
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves state for the next."""
+
+    @staticmethod
+    def explore(out, *extra):
+        return ["explore", "--trials", "6", "--n", "12", "--band", "2", "--seed", "11", *extra,
+                "--out", str(out)]
+
+    def test_many_calls_build_one_parser(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for k in range(5):
+                run(self.explore(tmp_path / f"{k}.jsonl"), capsys)
+                run(["check-conjugation", "--kind", "j", "--n", "4"], capsys)
+                run(["explore", "--mode", "bogus"], capsys)
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_an_option_does_not_carry_over(self, tmp_path, capsys):
+        run(self.explore(tmp_path / "constant.jsonl", "--mode", "constant"), capsys)
+        run(self.explore(tmp_path / "default.jsonl"), capsys)
+        *records, last = (tmp_path / "default.jsonl").read_text().splitlines()
+        assert json.loads(last)["inputs"]["mode"] == "mixed"
+        assert [json.loads(r)["mode"] for r in records[:3]] == ["generic", "symmetrized", "constant"]
+
+    def test_usage_error_leaves_the_parser_as_new(self, tmp_path, capsys):
+        code, _, err = run(["explore", "--mode", "bogus", "--out", str(tmp_path / "x")], capsys)
+        assert code == 2 and "invalid choice" in err
+        code, _, _ = run(self.explore(tmp_path / "after.jsonl"), capsys)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hardyconj", *self.explore(tmp_path / "fresh.jsonl")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "after.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()

@@ -1,5 +1,8 @@
 """Unit tests for the conjugation constructors and their certification."""
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,10 +17,16 @@ from hardyconj import (
     rotation_conjugation,
     sequence_conjugation,
     sequence_unitary,
+    squared_powers,
     unimodular,
     verify_conjugation,
 )
-from hardyconj.conjugations import orthonormalize
+from hardyconj.conjugations import (
+    _REPEATED_POWER_LIMIT,
+    _split_angle,
+    _unit_powers,
+    orthonormalize,
+)
 from hardyconj.core import _STACK_ENTRIES, inner_product
 
 
@@ -178,6 +187,72 @@ class TestSequenceConjugation:
             sequence_conjugation([1j, 1.5])
 
 
+def exact_powers(z, e):
+    """z ** e entrywise at 200 bits, rounded to complex128 at the end.
+
+    A sequence with one repeated value takes a running product of z ** 2
+    instead of one power per entry, which is the same number far sooner.
+    """
+    with mpmath.workprec(200):
+        if np.all(z == z[0]) and np.array_equal(e, 2 * np.arange(1, z.size + 1)):
+            step = mpmath.mpc(complex(z[0])) ** 2
+            w = mpmath.mpc(1)
+            out = []
+            for _ in e:
+                w *= step
+                out.append(complex(w))
+            return np.array(out)
+        return np.array([complex(mpmath.mpc(complex(a)) ** int(k)) for a, k in zip(z, e)])
+
+
+class TestUnitPowers:
+    """Powers of unit-circle values: numpy's own below exponent 100, a split angle from there on."""
+
+    def test_equals_numpy_power_below_the_limit(self):
+        rng = np.random.default_rng(3)
+        e = np.arange(_REPEATED_POWER_LIMIT)
+        z = np.concatenate(
+            [
+                np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (6, e.size))),
+                rng.standard_normal((2, e.size)) + 1j * rng.standard_normal((2, e.size)),
+                np.full((1, e.size), 1j),
+            ]
+        )
+        for got, want in ((_unit_powers(z, e), z**e), (_unit_powers(np.array([1j]), e), 1j**e)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert squared_powers([1j])[1] == -1.0
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["generic", "constant"])
+    @pytest.mark.parametrize("dim", [512, 4096, 16384])
+    def test_no_less_accurate_than_cpow(self, dim, constant):
+        rng = np.random.default_rng(dim)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 1 if constant else dim - 1)
+        z = unimodular(np.broadcast_to(np.exp(1j * theta), dim - 1))
+        e = 2 * np.arange(1, dim)
+        exact = exact_powers(z, e)
+        error = np.max(np.abs(squared_powers(z)[1:] - exact))
+        cpow_error = np.max(np.abs(z**e - exact))  # numpy's power, libm cpow from e = 100
+        assert error <= cpow_error
+
+    def test_high_part_of_the_angle_scales_exactly(self):
+        rng = np.random.default_rng(7)
+        z = np.concatenate(
+            [np.exp(1j * rng.uniform(-np.pi, np.pi, 200)), [-1.0, 1j, np.exp(3.1415926j)]]
+        )
+        hi, lo = _split_angle(z)
+        for e in (2 * (16384 - 1), 2**27 - 1):  # the largest exponent tested; the documented bound
+            for h, l, theta in zip(hi, lo, np.angle(z)):
+                assert Fraction(h) + Fraction(l) == Fraction(theta)
+                assert Fraction(e * h) == e * Fraction(h)
+
+    def test_off_the_circle_keeps_its_meaning(self):
+        rng = np.random.default_rng(5)
+        n = 300
+        z = rng.uniform(0.99, 1.01, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        exact = exact_powers(z, 2 * np.arange(1, n + 1))
+        assert np.max(np.abs(squared_powers(z)[1:] - exact) / np.abs(exact)) <= 1e-12
+
+
 class TestSequenceUnitary:
     def test_rescaled_basis_is_orthonormal(self):
         rng = np.random.default_rng(13)
@@ -271,6 +346,15 @@ class TestVerifyConjugation:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             verify_conjugation(canonical_conjugation(2), trials=0)
+
+    @pytest.mark.parametrize("factor", [1e200 * np.ones(8), 1e200 * np.eye(8)], ids=["vector", "dense"])
+    def test_overflowing_samples_report_inf(self, factor):
+        # the sampled gaps overflow to NaN, which max() and <= would pass as zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = verify_conjugation(AntilinearMap(factor), trials=10, seed=3)
+        assert cert.isometry_residual == np.inf
+        assert cert.involution_residual == np.inf
+        assert not cert.passed
 
     def test_structured_certificate_matches_dense(self, diagonal_families):
         dim = diagonal_families[0][1].dim

@@ -8,17 +8,24 @@ import pytest
 from hardyconj import (
     LaurentSymbol,
     canonical_conjugation,
+    explore_symmetry,
+    generate_symmetric_symbol,
     random_symbol,
     sequence_conjugation,
+    summarize_exploration,
+    verify_conjugation,
 )
 from hardyconj.jsonio import (
     canonical_json,
+    cert_to_json,
     conjugation_from_spec,
     emit_complex,
     json_line,
     load_symbol,
     parse_complex,
     parse_sequence_spec,
+    record_to_json,
+    report_to_json,
     save_symbol,
     symbol_from_json,
     symbol_to_json,
@@ -198,6 +205,27 @@ class TestCanonicalJson:
     def test_json_line_is_single_line(self):
         assert json_line({"a": [1, 2]}) == '{"a":[1,2]}\n'
 
+    def test_bytes_equal_json_dumps_with_the_same_options(self):
+        records = explore_symmetry(9, 16, 3, seed=5, mode="mixed")
+        symbol = generate_symmetric_symbol({1: 0.5 - 0.25j, 3: 2.0}, 0.1, [1j, -1.0, 0.6 + 0.8j])
+        documents = [record_to_json(r) for r in records] + [
+            report_to_json(records[0].report),
+            summarize_exploration(records),
+            symbol_to_json(symbol),
+            cert_to_json(verify_conjugation(canonical_conjugation(4), trials=5)),
+        ]
+        for doc in documents:
+            pretty = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+            line = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            assert canonical_json(doc) == pretty + "\n"
+            assert json_line(doc) == line + "\n"
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("emit", [canonical_json, json_line])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_both_encoders_reject_non_finite_numbers(self, emit, value):
+        with pytest.raises(ValueError):
+            emit({"x": [1.0, value]})

@@ -626,6 +626,14 @@ class TestExploration:
         assert summary["onesided_disagreements"] == 0
         assert summary["entrywise_mismatch_trials"] == []
 
+    @pytest.mark.parametrize("dim, seeds", [(4096, 40), (8192, 40), (16384, 10)])
+    def test_constant_mode_agrees_at_large_sections(self, dim, seeds):
+        # seeds 15 and 27 at 4096 disagreed while the multipliers came from cpow
+        for seed in range(seeds):
+            report = run_trial(2, dim, 8, seed).report
+            assert report.agree, seed
+            assert report.entrywise_holds == (report.residual <= report.tol), seed
+
     def test_symmetrized_mode_onesided_holds_by_construction(self):
         records = explore_symmetry(30, 16, 3, seed=13, mode="symmetrized")
         for r in records:
