@@ -107,13 +107,13 @@ def _conjugation_spec_from_args(args) -> dict:
 def _cmd_check_conjugation(args) -> int:
     started = time.perf_counter()
     spec = _conjugation_spec_from_args(args)
-    op, echo = jsonio.conjugation_from_spec(spec, args.n)
+    op = jsonio.conjugation_from_spec(spec, args.n)
     cert = verify_conjugation(op, trials=args.trials, tol=args.tol, seed=args.seed)
     report = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "command": "check-conjugation",
         "inputs": {
-            "conjugation": echo,
+            "conjugation": spec,
             "n": args.n,
             "tol": args.tol,
             "trials": args.trials,
@@ -135,14 +135,14 @@ def _cmd_check_symmetry(args) -> int:
             f"got {kind!r}; use the explore command for dense conjugations"
         )
     symbol = jsonio.load_symbol(args.symbol, max_band=args.n - 1)
-    op, echo = jsonio.conjugation_from_spec(spec, args.n)
+    op = jsonio.conjugation_from_spec(spec, args.n)
     result = symmetry_report(op, symbol, args.n, tol=args.tol)
     report = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "command": "check-symmetry",
         "inputs": {
             "symbol": jsonio.symbol_to_json(symbol),
-            "conjugation": echo,
+            "conjugation": spec,
             "n": args.n,
             "tol": args.tol,
         },
@@ -154,31 +154,30 @@ def _cmd_check_symmetry(args) -> int:
 
 def _cmd_gen_symbol(args) -> int:
     started = time.perf_counter()
-    entries = _json_arg(args.onesided) if args.onesided else []
+    # each flag's JSON as given, None where the flag is absent; the report echoes it
+    given = {
+        "onesided": _json_arg(args.onesided) if args.onesided else None,
+        "zero": _json_arg(args.zero) if args.zero else None,
+        "sequence": _json_arg(args.sequence) if args.sequence else None,
+    }
+    entries = given["onesided"] if args.onesided else []
     onesided = jsonio.parse_indexed_coefficients(entries, "--onesided")
     for n in onesided:
         if n < 1:
             raise ValueError(f"one-sided coefficient indices start at 1, got {n}")
-    zero_coeff = jsonio.parse_complex(_json_arg(args.zero)) if args.zero else 0.0
+    zero_coeff = jsonio.parse_complex(given["zero"]) if args.zero else 0.0
     band = max(onesided, default=0)
     if band > MAX_GEN_BAND:
         raise ValueError(f"one-sided index {band} exceeds the largest allowed band {MAX_GEN_BAND}")
-    zeta = (
-        jsonio.parse_sequence_spec(_json_arg(args.sequence), band, start_index=1)
-        if args.sequence
-        else []
-    )
+    zeta = []
+    if args.sequence:
+        zeta = jsonio.parse_sequence_spec(given["sequence"], band, start_index=1)
     symbol = generate_symmetric_symbol(onesided, zero_coeff=zero_coeff, zeta=zeta)
     jsonio.save_symbol(symbol, args.out)
     report = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "command": "gen-symbol",
-        "inputs": {
-            "onesided": [{"n": n, **jsonio.emit_complex(v)} for n, v in sorted(onesided.items())],
-            "zero": jsonio.emit_complex(zero_coeff),
-            "zeta": [jsonio.emit_complex(z) for z in zeta],
-            "out": str(args.out),
-        },
+        "inputs": {**given, "out": str(args.out)},
         "results": jsonio.symbol_to_json(symbol),
     }
     # the symbol file itself is the deterministic artifact; the report goes to stdout

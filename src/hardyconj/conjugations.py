@@ -260,17 +260,18 @@ def factor_diagonal(op: AntilinearMap, tol: float = 1e-10) -> np.ndarray:
     Requires the linear factor of ``op`` to be diagonal with unimodular
     entries within ``tol``. Each U entry is the principal square root of
     the conjugated diagonal entry; any other branch choice differs by a
-    sign and produces the same conjugation.
+    sign and produces the same conjugation. A stored diagonal is read as is.
     """
-    a = op.a_matrix
-    d = np.diag(a).copy()
-    off = frobenius_norm(a - np.diag(d))
-    if off > tol:
-        raise ValueError(f"linear factor is not diagonal: off-diagonal norm {off:.3e}")
+    d = op.diagonal
+    if d is None:
+        a = op.a_matrix
+        d = np.diag(a)
+        off = frobenius_norm(a - np.diag(d))
+        if off > tol:
+            raise ValueError(f"linear factor is not diagonal: off-diagonal norm {off:.3e}")
     if np.max(np.abs(np.abs(d) - 1.0)) > tol:
         raise ValueError("diagonal entries are not unimodular")
-    d /= np.abs(d)
-    return np.diag(np.sqrt(np.conj(d)))
+    return np.diag(np.sqrt(np.conj(d / np.abs(d))))
 
 
 def orthonormalize(matrix) -> np.ndarray:

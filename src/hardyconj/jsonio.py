@@ -2,13 +2,16 @@
 
 Complex numbers travel as {"re": x, "im": y} pairs of decimal doubles;
 wherever a unimodular value is expected, {"theta": t} is accepted as sugar
-for exp(i t). All emitters produce canonical output (sorted keys, fixed
-layout) so identical inputs yield byte-identical files.
+for exp(i t). NaN and Infinity are refused. Reports echo each spec as
+given, so an echo is itself a valid input. All emitters produce canonical
+output (sorted keys, fixed layout) so identical inputs yield
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -47,13 +50,17 @@ SCHEMA_VERSION = 1
 DIAGONAL_KINDS = ("j", "lambda", "alpha", "zeta")
 CONJUGATION_KINDS = DIAGONAL_KINDS + ("unitary-seed",)
 
+#: The one key a conjugation spec holds besides "kind", by kind; "j" takes none.
+_PARAMETER = {"lambda": "value", "alpha": "sequence", "zeta": "sequence", "unitary-seed": "seed"}
+
 
 def _json_number(value, name: str, integer: bool = False):
-    """``value`` as a float if it is a JSON number, or as an int if ``integer``.
+    """``value`` as a finite float if it is a JSON number, or as an int if ``integer``.
 
     With ``integer`` only a JSON integer is accepted (an index, band or
     seed); ``1.5`` is refused rather than truncated. JSON true/false load
-    as bool, a subclass of int, and are refused too.
+    as bool, a subclass of int, and are refused too, as are the NaN and
+    Infinity literals that Python's json reader accepts and JSON does not.
     """
     kinds = int if integer else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -62,9 +69,12 @@ def _json_number(value, name: str, integer: bool = False):
     if integer:
         return value
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise ValueError(f"{name} {value} is too large for a double") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite double, got {value}")
+    return number
 
 
 def parse_complex(obj) -> complex:
@@ -133,49 +143,36 @@ def parse_sequence_spec(spec, count: int, start_index: int = 0) -> np.ndarray:
     )
 
 
-def conjugation_from_spec(spec: dict, dim: int) -> tuple[AntilinearMap, dict]:
-    """Build a conjugation from its JSON spec; returns (map, normalized echo).
+def conjugation_from_spec(spec: dict, dim: int) -> AntilinearMap:
+    """Build the conjugation a JSON spec describes at dimension ``dim``.
 
-    Kinds: "j"; "lambda" with "value" (complex or theta object);
-    "alpha"/"zeta" with "sequence" (spec as in :func:`parse_sequence_spec`,
-    alpha indexed from 0, zeta from 1); "unitary-seed" with "seed".
+    A spec holds exactly "kind" and that kind's one parameter: none for "j";
+    "value" (complex or theta object) for "lambda"; "sequence" (as in
+    :func:`parse_sequence_spec`, alpha indexed from 0, zeta from 1) for
+    "alpha"/"zeta"; "seed" for "unitary-seed". Reports echo the spec as
+    given, so ``conjugation_from_spec(echo, n)`` rebuilds the map bit for bit.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"conjugation spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind not in CONJUGATION_KINDS:
         raise ValueError(f"unknown conjugation kind {kind!r}, expected one of {CONJUGATION_KINDS}")
+    keys = {"kind", _PARAMETER[kind]} if kind in _PARAMETER else {"kind"}
+    if set(spec) != keys:
+        raise ValueError(
+            f'conjugation spec of kind "{kind}" must have exactly the keys {sorted(keys)}, '
+            f"got {sorted(spec)}"
+        )
     if kind == "j":
-        return canonical_conjugation(dim), {"kind": "j"}
+        return canonical_conjugation(dim)
     if kind == "lambda":
-        if "value" not in spec:
-            raise ValueError('kind "lambda" requires a "value" entry')
-        lam = parse_complex(spec["value"])
-        return rotation_conjugation(lam, dim), {"kind": "lambda", "value": emit_complex(lam)}
+        return rotation_conjugation(parse_complex(spec["value"]), dim)
     if kind == "alpha":
-        if "sequence" not in spec:
-            raise ValueError('kind "alpha" requires a "sequence" entry')
-        alpha = parse_sequence_spec(spec["sequence"], dim, start_index=0)
-        return phase_conjugation(alpha), {
-            "kind": "alpha",
-            "values": [emit_complex(v) for v in alpha],
-        }
+        return phase_conjugation(parse_sequence_spec(spec["sequence"], dim, start_index=0))
     if kind == "zeta":
-        if "sequence" not in spec:
-            raise ValueError('kind "zeta" requires a "sequence" entry')
-        zeta = parse_sequence_spec(spec["sequence"], dim - 1, start_index=1)
-        return sequence_conjugation(zeta), {
-            "kind": "zeta",
-            "values": [emit_complex(v) for v in zeta],
-        }
-    # unitary-seed
-    if "seed" not in spec:
-        raise ValueError('kind "unitary-seed" requires a "seed" entry')
+        return sequence_conjugation(parse_sequence_spec(spec["sequence"], dim - 1, start_index=1))
     seed = _json_number(spec["seed"], "seed", integer=True)
-    return conjugation_from_unitary(random_unitary(dim, seed)), {
-        "kind": "unitary-seed",
-        "seed": seed,
-    }
+    return conjugation_from_unitary(random_unitary(dim, seed))
 
 
 def parse_indexed_coefficients(entries, key: str) -> dict[int, complex]:

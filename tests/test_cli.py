@@ -9,13 +9,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyconj import cli
+from hardyconj import (
+    canonical_conjugation,
+    cli,
+    conjugation_from_unitary,
+    phase_conjugation,
+    random_unitary,
+    rotation_conjugation,
+    sequence_conjugation,
+)
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
-from hardyconj.jsonio import json_line, record_to_json
+from hardyconj.jsonio import conjugation_from_spec, json_line, record_to_json
 from hardyconj.toeplitz import run_trial
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
@@ -409,6 +418,167 @@ class TestGenSymbol:
         assert results["agree"] is False
         assert results["entrywise_holds"] is False
 
+    def test_inputs_echo_the_flags_as_given(self, tmp_path, capsys):
+        onesided = [{"n": 1, "re": 0.4, "im": -0.2}, {"n": 3, "theta": 0.9}]
+        sequence = {"thetas": [0.3, 1.1, 2.0, 0.7]}
+        code, out, _ = run(
+            [
+                "gen-symbol",
+                "--onesided", json.dumps(onesided),
+                "--zero", "0.25",
+                "--sequence", json.dumps(sequence),
+                "--out", str(tmp_path / "sym.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        inputs = stdout_json(out)["inputs"]
+        assert inputs == {
+            "onesided": onesided,
+            "zero": 0.25,
+            "sequence": sequence,
+            "out": str(tmp_path / "sym.json"),
+        }
+
+    def test_absent_flags_echo_null(self, tmp_path, capsys):
+        code, out, _ = run(["gen-symbol", "--out", str(tmp_path / "sym.json")], capsys)
+        assert code == 0
+        inputs = stdout_json(out)["inputs"]
+        assert inputs["onesided"] is None and inputs["zero"] is None
+        assert inputs["sequence"] is None
+
+    def test_constant_sequence_is_not_expanded_to_the_band(self, tmp_path, capsys):
+        code, out, _ = run(
+            [
+                "gen-symbol",
+                "--onesided", json.dumps([{"n": MAX_GEN_BAND, "re": 1.0}]),
+                "--sequence", '{"constant":{"theta":0.1}}',
+                "--out", str(tmp_path / "sym.json"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert stdout_json(out)["inputs"]["sequence"] == {"constant": {"theta": 0.1}}
+
+
+#: The angles and values that the sequence specs of :data:`ECHO_SPECS` list.
+#: Each list holds one entry more than an N = 6 map uses, so the echo carries
+#: an entry that only the echo reads.
+ECHO_THETAS = [0.3, 1.1, 2.0, 0.7, 1.9, 0.2, 2.5]
+ECHO_VALUES = [complex(np.exp(1j * t)) for t in ECHO_THETAS]
+
+#: Conjugation specs by name, each with the map it describes at dimension n,
+#: built from the constructors without any JSON.
+ECHO_SPECS = {
+    "j": ({"kind": "j"}, canonical_conjugation),
+    "lambda theta": (
+        {"kind": "lambda", "value": {"theta": 0.3}},
+        lambda n: rotation_conjugation(np.exp(1j * 0.3), n),
+    ),
+    "lambda value": (
+        {"kind": "lambda", "value": {"re": 0.6, "im": 0.8}},
+        lambda n: rotation_conjugation(0.6 + 0.8j, n),
+    ),
+    "alpha constant": (
+        {"kind": "alpha", "sequence": {"constant": {"theta": 0.7}}},
+        lambda n: phase_conjugation(np.full(n, np.exp(1j * 0.7))),
+    ),
+    "alpha thetas": (
+        {"kind": "alpha", "sequence": {"thetas": ECHO_THETAS}},
+        lambda n: phase_conjugation(np.exp(1j * np.array(ECHO_THETAS[:n]))),
+    ),
+    "alpha values": (
+        {"kind": "alpha", "sequence": {"values": [{"re": z.real, "im": z.imag}
+                                                   for z in ECHO_VALUES]}},
+        lambda n: phase_conjugation(np.array(ECHO_VALUES[:n])),
+    ),
+    "zeta constant": (
+        {"kind": "zeta", "sequence": {"constant": {"re": 0.0, "im": 1.0}}},
+        lambda n: sequence_conjugation(np.full(n - 1, 1j)),
+    ),
+    "zeta thetas": (
+        {"kind": "zeta", "sequence": {"thetas": ECHO_THETAS}},
+        lambda n: sequence_conjugation(np.exp(1j * np.array(ECHO_THETAS[: n - 1]))),
+    ),
+    "zeta values": (
+        {"kind": "zeta", "sequence": {"values": [{"theta": t} for t in ECHO_THETAS]}},
+        lambda n: sequence_conjugation(np.exp(1j * np.array(ECHO_THETAS[: n - 1]))),
+    ),
+    "unitary-seed": (
+        {"kind": "unitary-seed", "seed": 5},
+        lambda n: conjugation_from_unitary(random_unitary(n, 5)),
+    ),
+}
+
+
+def _conjugation_flags(spec, lambda_flag):
+    """check-conjugation flags for ``spec``; ``lambda_flag`` picks --theta or --value."""
+    flags = ["--kind", spec["kind"]]
+    if spec["kind"] == "lambda":
+        value = spec["value"]
+        if lambda_flag == "--theta":
+            return flags + ["--theta", repr(value["theta"])]
+        return flags + ["--value", json.dumps(value)]
+    if "sequence" in spec:
+        return flags + ["--sequence", json.dumps(spec["sequence"])]
+    if "seed" in spec:
+        return flags + ["--seed", str(spec["seed"])]
+    return flags
+
+
+class TestSpecEcho:
+    """Reports echo each conjugation spec as given, and the echo rebuilds the map."""
+
+    N = 6
+
+    def assert_echo_rebuilds(self, path, spec, expected):
+        report = json.loads(path.read_text())
+        echo = report["inputs"]["conjugation"]
+        assert echo == spec
+        rebuilt = conjugation_from_spec(echo, report["inputs"]["n"])
+        assert rebuilt.factor.tobytes() == expected(self.N).factor.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, lambda_flag",
+        [(name, "--theta" if name == "lambda theta" else "--value") for name in sorted(ECHO_SPECS)]
+        + [("lambda theta", "--value")],
+    )
+    def test_check_conjugation(self, name, lambda_flag, tmp_path, capsys):
+        spec, expected = ECHO_SPECS[name]
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["check-conjugation", *_conjugation_flags(spec, lambda_flag), "--n", str(self.N),
+             "--trials", "3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        self.assert_echo_rebuilds(out, spec, expected)
+
+    @pytest.mark.parametrize("name", sorted(set(ECHO_SPECS) - {"unitary-seed"}))
+    def test_check_symmetry(self, name, tmp_path, capsys):
+        spec, expected = ECHO_SPECS[name]
+        symbol = tmp_path / "sym.json"
+        symbol.write_text('{"schema_version":1,"band":1,"coeffs":[{"n":1,"re":1.0}]}')
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", json.dumps(spec),
+             "--n", str(self.N), "--out", str(out)],
+            capsys,
+        )
+        assert code in (0, 1)
+        self.assert_echo_rebuilds(out, spec, expected)
+
+    def test_constant_spec_report_stays_small(self, tmp_path, capsys):
+        # the spec is echoed as given, not spelled out as N entries
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            ["check-conjugation", "--kind", "alpha", "--sequence", '{"constant":{"theta":0.3}}',
+             "--n", "4096", "--trials", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.stat().st_size < 1024
+
 
 class TestExplore:
     def test_constant_mode_no_disagreements(self, tmp_path, capsys):
@@ -607,16 +777,17 @@ JSON_VALUES = st.recursive(
 def _conjugation(kind, key, spec):
     return lambda v, tmp: [
         "check-conjugation", "--kind", kind, "--n", "4", "--trials", "2",
-        key, json.dumps(spec(v)),
+        key, json.dumps(spec(v)), "--out", str(tmp / "out.json"),
     ]
 
 
-def _symbol(document):
+def _symbol(document, conjugation=lambda v: {"kind": "j"}):
     def argv(v, tmp):
         path = tmp / "sym.json"
         path.write_text(json.dumps(document(v)))
-        return ["check-symmetry", "--symbol", str(path), "--conjugation", '{"kind":"j"}',
-                "--n", "4"]
+        return ["check-symmetry", "--symbol", str(path),
+                "--conjugation", json.dumps(conjugation(v)), "--n", "4",
+                "--out", str(tmp / "out.json")]
     return argv
 
 
@@ -639,6 +810,10 @@ SLOTS = {
     "sequence value theta": _conjugation(
         "alpha", "--sequence", lambda v: {"values": [{"theta": v}, 1, 1, 1]}
     ),
+    # past the three entries an N = 4 zeta map uses: only the echo holds it
+    "sequence extra entry": _conjugation(
+        "zeta", "--sequence", lambda v: {"thetas": [0.5, 1.0, 1.5, v]}
+    ),
     "lambda value": _conjugation("lambda", "--value", lambda v: v),
     "lambda im": _conjugation("lambda", "--value", lambda v: {"re": 1.0, "im": v}),
     "lambda theta": _conjugation("lambda", "--value", lambda v: {"theta": v}),
@@ -652,6 +827,10 @@ SLOTS = {
     "symbol theta": _symbol(
         lambda v: {"schema_version": 1, "band": 1, "coeffs": [{"n": -1, "theta": v}]}
     ),
+    "spec extra key": _symbol(
+        lambda v: {"schema_version": 1, "band": 0, "coeffs": []},
+        conjugation=lambda v: {"kind": "j", "x": v},
+    ),
     "onesided n": _onesided(lambda v: [{"n": v, "re": 1.0}]),
     "onesided n constant": _onesided(
         lambda v: [{"n": v, "re": 1.0}], sequence='{"constant":{"theta":0.5}}'
@@ -664,6 +843,9 @@ SLOTS = {
 #: Slots that take a JSON integer. They also draw from ``st.integers()``,
 #: since ``JSON_VALUES`` alone rarely puts a bare integer at the top.
 INTEGER_SLOTS = {"symbol band", "symbol n", "onesided n", "onesided n constant"}
+
+#: Slots whose every value is an input error.
+REFUSED_SLOTS = {"spec extra key"}
 
 
 class TestUsageErrors:
@@ -694,6 +876,17 @@ class TestUsageErrors:
             ["check-conjugation", "--kind", "lambda", "--value", '{"theta":[1]}'],
             ["check-conjugation", "--kind", "lambda", "--value", '{"re":"1"}'],
             ["check-conjugation", "--kind", "lambda", "--value", "1" + "0" * 400],
+            # non-finite literals, in an entry past those used and in a constant
+            [
+                "check-conjugation", "--kind", "alpha", "--n", "1",
+                "--sequence", '{"thetas":[0.1,NaN]}', "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "alpha", "--n", "1",
+                "--sequence", '{"constant":{"re":Infinity}}', "--out", "out.json",
+            ],
+            ["check-symmetry", "--symbol", "sym.json", "--conjugation", '{"kind":"j","x":1}',
+             "--out", "out.json"],
             ["gen-symbol", "--onesided", '[{"n":null}]', "--out", "out.json"],
             [
                 "gen-symbol",
@@ -759,9 +952,11 @@ class TestUsageErrors:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
-        assert code in (0, 1, 2), (argv, code)
+            out_written = (Path(tmp) / "out.json").exists()
+        assert code in ((2,) if slot in REFUSED_SLOTS else (0, 1, 2)), (argv, code)
         if code == 2:
             assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+            assert not out_written, argv
 
 
 class TestOptionSurface:

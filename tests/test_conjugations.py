@@ -447,6 +447,20 @@ class TestFactorDiagonal:
         with pytest.raises(ValueError, match="unimodular"):
             factor_diagonal(AntilinearMap(np.diag([1.0, 0.5])))
 
+    def test_stored_diagonal_is_read_without_the_dense_factor(
+        self, diagonal_families, monkeypatch
+    ):
+        dense = [factor_diagonal(AntilinearMap(op.a_matrix)) for _, op in diagonal_families]
+
+        def refuse(self):
+            raise AssertionError("dense factor built for a diagonal map")
+
+        monkeypatch.setattr(AntilinearMap, "a_matrix", property(refuse))
+        for (name, op), expected in zip(diagonal_families, dense):
+            assert factor_diagonal(op).tobytes() == expected.tobytes(), name
+        with pytest.raises(ValueError, match="unimodular"):
+            factor_diagonal(AntilinearMap(np.array([1.0, 0.5])))
+
 
 class TestRandomUnitary:
     def test_dimension_one_is_unimodular(self):

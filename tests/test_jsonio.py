@@ -65,6 +65,14 @@ class TestParseComplex:
         z = 0.1 - 0.7j
         assert parse_complex(emit_complex(z)) == z
 
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", '{"re": -Infinity}', '{"im": NaN}', '{"theta": Infinity}']
+    )
+    def test_rejects_non_finite_literals(self, text):
+        # Python's json reader accepts these literals; JSON does not
+        with pytest.raises(ValueError, match="finite"):
+            parse_complex(json.loads(text))
+
 
 class TestParseSequenceSpec:
     def test_constant_generator(self):
@@ -82,6 +90,13 @@ class TestParseSequenceSpec:
     def test_extra_entries_are_ignored(self):
         seq = parse_sequence_spec({"thetas": [0.1, 0.2, 0.3]}, 2)
         assert seq.size == 2
+
+    @pytest.mark.parametrize(
+        "text", ['{"thetas": [0.1, NaN]}', '{"values": [1.0, {"re": Infinity}]}']
+    )
+    def test_extra_entries_must_still_be_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_sequence_spec(json.loads(text), 1)
 
     def test_shortage_names_missing_index(self):
         with pytest.raises(ValueError, match="index 3 missing"):
@@ -108,35 +123,35 @@ class TestParseSequenceSpec:
 
 class TestConjugationFromSpec:
     def test_plain_kind(self):
-        op, echo = conjugation_from_spec({"kind": "j"}, 4)
+        op = conjugation_from_spec({"kind": "j"}, 4)
         np.testing.assert_allclose(op.a_matrix, canonical_conjugation(4).a_matrix)
-        assert echo == {"kind": "j"}
+        assert op.dim == 4
 
     def test_rotation_kind_with_theta(self):
-        op, echo = conjugation_from_spec({"kind": "lambda", "value": {"theta": np.pi}}, 3)
+        op = conjugation_from_spec({"kind": "lambda", "value": {"theta": np.pi}}, 3)
         np.testing.assert_allclose(np.diag(op.a_matrix), [1.0, -1.0, 1.0], atol=1e-12)
-        assert echo["kind"] == "lambda"
+        assert op.dim == 3
 
     def test_phase_kind_covers_all_indices(self):
         spec = {"kind": "alpha", "sequence": {"constant": {"theta": 0.3}}}
-        op, echo = conjugation_from_spec(spec, 5)
-        assert len(echo["values"]) == 5
+        op = conjugation_from_spec(spec, 5)
+        assert op.dim == 5
         np.testing.assert_allclose(np.diag(op.a_matrix), np.full(5, np.exp(0.3j)))
 
     def test_sequence_kind_needs_dim_minus_one_entries(self):
         spec = {"kind": "zeta", "sequence": {"thetas": [0.1, 0.2]}}
-        op, echo = conjugation_from_spec(spec, 3)
-        assert len(echo["values"]) == 2
+        op = conjugation_from_spec(spec, 3)
+        assert op.dim == 3
         expected = sequence_conjugation(np.exp(1j * np.array([0.1, 0.2])))
         np.testing.assert_allclose(op.a_matrix, expected.a_matrix)
         with pytest.raises(ValueError, match="missing"):
             conjugation_from_spec(spec, 4)
 
     def test_unitary_seed_kind_is_deterministic(self):
-        op1, echo = conjugation_from_spec({"kind": "unitary-seed", "seed": 7}, 8)
-        op2, _ = conjugation_from_spec({"kind": "unitary-seed", "seed": 7}, 8)
+        op1 = conjugation_from_spec({"kind": "unitary-seed", "seed": 7}, 8)
+        op2 = conjugation_from_spec({"kind": "unitary-seed", "seed": 7}, 8)
         np.testing.assert_array_equal(op1.a_matrix, op2.a_matrix)
-        assert echo == {"kind": "unitary-seed", "seed": 7}
+        assert op1.dim == 8
 
     @pytest.mark.parametrize("seed", [None, 1.5, "3", True, [7]])
     def test_seed_must_be_a_json_integer(self, seed):
@@ -152,6 +167,21 @@ class TestConjugationFromSpec:
             conjugation_from_spec({"kind": "lambda"}, 4)
         with pytest.raises(ValueError, match="sequence"):
             conjugation_from_spec({"kind": "zeta"}, 4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "j", "seed": 3},
+            {"kind": "lambda", "value": 1.0, "theta": 0.5},
+            {"kind": "alpha", "sequence": {"constant": 1.0}, "values": []},
+            {"kind": "zeta", "sequence": {"constant": 1.0}, "n": 4},
+            {"kind": "unitary-seed", "seed": 3, "sequence": {"constant": 1.0}},
+        ],
+    )
+    def test_a_spec_holds_exactly_its_kinds_keys(self, spec):
+        # an extra key would be echoed in a report although nothing reads it
+        with pytest.raises(ValueError, match="exactly the keys"):
+            conjugation_from_spec(spec, 4)
 
 
 class TestSymbolFiles:
