@@ -29,12 +29,15 @@ kernel on stacks whose leading axis is the trial: coefficients (k, 2M + 1),
 multipliers and diagonals (k, N). The public functions call it with a
 stack of one; :func:`explore_symmetry` calls it once per block of at most
 ``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
-complex entries, 1 MiB per stacked array). Rows never mix, so a record
-from a block equals :func:`run_trial` on its trial, bit for bit.
+complex entries, 1 MiB per stacked array). Only the seeded draws are made
+per trial; the sequences, the damped and completed symbols and the checks
+are array operations over the block. Rows never mix, so a record from a
+block equals :func:`run_trial` on its trial, bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +99,12 @@ class LaurentSymbol:
     def __post_init__(self):
         if self.band < 0:
             raise ValueError("band must be nonnegative")
-        c = np.asarray(self.coeffs, dtype=np.complex128).copy()
+        c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * self.band + 1,):
             raise ValueError(
                 f"coefficient array has shape {c.shape}, expected ({2 * self.band + 1},)"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("symbol coefficients contain non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -109,12 +112,11 @@ class LaurentSymbol:
     @classmethod
     def from_pairs(cls, pairs, band: int | None = None) -> "LaurentSymbol":
         """Build from a mapping or iterable of (n, value); missing n are zero."""
-        items = dict(pairs)
+        items = {_index(n): value for n, value in dict(pairs).items()}
         if band is None:
-            band = max((abs(int(n)) for n in items), default=0)
+            band = max((abs(n) for n in items), default=0)
         c = np.zeros(2 * band + 1, dtype=np.complex128)
         for n, value in items.items():
-            n = int(n)
             if abs(n) > band:
                 raise ValueError(f"coefficient index {n} exceeds band {band}")
             c[n + band] = value
@@ -136,15 +138,28 @@ class LaurentSymbol:
         return self.band == other.band and bool(np.array_equal(self.coeffs, other.coeffs))
 
 
+def _index(n) -> int:
+    """A coefficient index as an int; a non-integral key raises instead of truncating."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"coefficient index {n!r} is not an integer") from None
+
+
 def random_symbol(band: int, rng: np.random.Generator, scale: float = 1.0) -> LaurentSymbol:
     """Random symbol with complex Gaussian coefficients damped by 1/(1+|n|).
 
     The decay mimics a smooth symbol and keeps residual magnitudes
     comparable across random trials.
     """
-    n = np.arange(-band, band + 1)
     raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
-    return LaurentSymbol(band, scale * raw / (1.0 + np.abs(n)))
+    return LaurentSymbol(band, _damped(raw, scale))
+
+
+def _damped(raw: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``scale * raw / (1 + |n|)`` along the last axis, which holds n = -band .. band."""
+    band = raw.shape[-1] // 2
+    return scale * raw / (1.0 + np.abs(np.arange(-band, band + 1)))
 
 
 def evaluate_on_grid(symbol: LaurentSymbol, num_points: int) -> np.ndarray:
@@ -449,7 +464,7 @@ def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> L
     c(-n) = c(n) * zeta_n**(2n), which makes the one-sided criterion hold
     with violation exactly zero. ``zeta`` must cover indices 1 .. max n.
     """
-    items = {int(n): complex(v) for n, v in dict(onesided).items()}
+    items = {_index(n): complex(v) for n, v in dict(onesided).items()}
     if any(n < 1 for n in items):
         raise ValueError("one-sided coefficients are indexed from 1")
     band = max(items, default=0)
@@ -505,15 +520,16 @@ def symmetry_report(
     """Residual oracle plus, for a diagonal map, both coefficient criteria.
 
     A map that keeps its factor as a diagonal vector (``op.diagonal``) is
-    checked from the symbol's offsets in O(dim * band), with no section:
-    :func:`diagonal_residual`, the one-sided criterion and
-    :func:`entrywise_condition`. The residual and the entrywise check are
-    separate computations, from d and conj(c) and from w and c, so their
-    verdicts cross-check each other. A dense factor, even a diagonal one
-    such as ``AntilinearMap(np.diag(d))``, gets the section and the dense
-    :func:`symmetry_residual` over all of it, and no criteria. The report
-    has no window; a caller that wants a trimmed one for a banded dense
-    map calls :func:`symmetry_residual` with it.
+    checked from the symbol's offsets in O(dim * band), with no section, by
+    one call of the offset kernel behind :func:`diagonal_residual`,
+    :func:`onesided_condition` and :func:`entrywise_condition`, which gives
+    all three values at once. Within it the residual and the entrywise
+    check are separate computations, from d and conj(c) and from w and c,
+    so their verdicts cross-check each other. A dense factor, even a
+    diagonal one such as ``AntilinearMap(np.diag(d))``, gets the section
+    and the dense :func:`symmetry_residual` over all of it, and no
+    criteria. The report has no window; a caller that wants a trimmed one
+    for a banded dense map calls :func:`symmetry_residual` with it.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
@@ -577,9 +593,12 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
     """Records for ``trials``; in a diagonal mode they are checked as one stack.
 
     Each trial draws from its own ``default_rng((seed, trial))`` in a fixed
-    order: the sequence, then the symbol (or its one-sided half, which the
-    stacked completion finishes). Only the draws are per trial; everything
-    stacked is per row, so a trial gets the same bits alone or in any block.
+    order: the sequence angles (one for a constant sequence), then the real
+    and the imaginary normals of the symbol, or of its one-sided half. Only
+    the draws are per trial. The exp, the damping, the completion and the
+    checks run once over the block's stacks, with the operations a single
+    trial would use, row by row, so a trial gets the same bits alone or in
+    any block.
     """
     if mode == "unitary":
         records = []
@@ -591,36 +610,37 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
             records.append(ExplorationRecord(trial, (seed, trial), mode, None, symbol, report))
         return records
 
-    modes, zetas, symbols = [], [], []
-    for trial in trials:
-        resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
+    modes = [("generic", "symmetrized", "constant")[t % 3] if mode == "mixed" else mode for t in trials]
+    generic = np.array([m == "generic" for m in modes], dtype=bool)
+    angles = np.empty((len(modes), dim - 1))
+    # real and imaginary normals of each symbol, or of its one-sided half
+    full_draws = np.empty((np.count_nonzero(generic), 2, 2 * band + 1))
+    half_draws = np.empty((len(modes) - len(full_draws), 2, band + 1))
+    full_rows, half_rows = iter(full_draws), iter(half_draws)
+    for i, (trial, resolved) in enumerate(zip(trials, modes)):
         rng = np.random.default_rng((seed, trial))
         if resolved == "constant":
-            zetas.append(np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+            angles[i] = rng.uniform(0.0, 2.0 * np.pi)
         else:
-            zetas.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1)))
-        if resolved == "generic":
-            symbols.append(random_symbol(band, rng))
-        else:
-            # c(0) and c(n) = raw_n / (1 + n) for n >= 1; completed below
-            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
-            raw[1:] /= 1.0 + np.arange(1, band + 1)
-            symbols.append(raw)
-        modes.append(resolved)
+            angles[i] = rng.uniform(0.0, 2.0 * np.pi, dim - 1)
+        # one (2, width) draw is the stream of two successive width draws
+        rng.standard_normal(out=next(full_rows if generic[i] else half_rows))
 
+    zetas = np.exp(1j * angles)
     # the multipliers of sequence_conjugation(zeta), unimodular check included
-    w = squared_powers(_unimodular_rows(np.stack(zetas), UNIMODULAR_TOL, 1))
-    halves = [i for i, s in enumerate(symbols) if not isinstance(s, LaurentSymbol)]
-    if halves:
-        half = np.stack([symbols[i] for i in halves])
-        completed = _completed(band, np.arange(1, band + 1), half[:, 1:], w[halves])
-        completed[:, band] = half[:, 0]
-        for i, c in zip(halves, completed):
-            symbols[i] = LaurentSymbol(band, c)  # the finiteness check, per symbol
-    reports = _diagonal_reports(np.conj(w), np.stack([s.coeffs for s in symbols]), tol)
+    w = squared_powers(_unimodular_rows(zetas, UNIMODULAR_TOL, 1))
+    coeffs = np.empty((len(modes), 2 * band + 1), dtype=np.complex128)
+    coeffs[generic] = _damped(full_draws[:, 0] + 1j * full_draws[:, 1])
+    # c(0) and c(n) = raw_n / (1 + n) for n >= 1, completed to the negative side
+    half = half_draws[:, 0] + 1j * half_draws[:, 1]
+    half[:, 1:] /= 1.0 + np.arange(1, band + 1)
+    completed = _completed(band, np.arange(1, band + 1), half[:, 1:], w[~generic])
+    completed[:, band] = half[:, 0]
+    coeffs[~generic] = completed
+    reports = _diagonal_reports(np.conj(w), coeffs, tol)
     return [
-        ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
-        for trial, resolved, zeta, symbol, report in zip(trials, modes, zetas, symbols, reports)
+        ExplorationRecord(trial, (seed, trial), resolved, zeta, LaurentSymbol(band, c), report)
+        for trial, resolved, zeta, c, report in zip(trials, modes, zetas, coeffs, reports)
     ]
 
 
@@ -657,13 +677,15 @@ def explore_symmetry(
     regenerates any record alone, sequence and symbol included; a JSON
     record therefore carries only the pair, the resolved mode and the report.
 
-    Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``. Within a
-    block every trial is drawn on its own, in trial order, and the
-    diagonal ones (all modes but ``unitary``) are then completed and
-    checked together: their multiplier vectors form a (trials, dim) stack
-    and their coefficients a (trials, 2 * band + 1) stack, and each offset
-    of the criteria is one set of array operations over the stack. A
-    ``unitary`` trial is checked on its own through :func:`symmetry_report`.
+    Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``. In the
+    diagonal modes (all but ``unitary``) only the seeded draws are per
+    trial: each trial, in trial order, seeds its generator and writes its
+    sequence angles and its symbol's normals into the block's stacks. The
+    sequences (``np.exp``), their multipliers, the damping and one-sided
+    completion of the symbols and every offset of the criteria are then
+    array operations over the block: multipliers form a (trials, dim)
+    stack and coefficients a (trials, 2 * band + 1) stack. A ``unitary``
+    trial is drawn and checked on its own through :func:`symmetry_report`.
     Rows never mix, so every record has the bits :func:`run_trial` gives
     it alone; working memory stays at a few stacks of 1 MiB.
     """

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hardyconj import (
     AntilinearMap,
+    ExplorationRecord,
     LaurentSymbol,
     canonical_conjugation,
     conjugation_from_unitary,
@@ -108,6 +109,20 @@ class TestLaurentSymbol:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             LaurentSymbol(0, np.array([np.nan]))
+
+    @pytest.mark.parametrize("pairs, band, key", [({1.5: 2.0}, 2, "1.5"), ({0.5: 1}, None, "0.5")])
+    def test_rejects_non_integral_index(self, pairs, band, key):
+        # int() would truncate the key and store the value at another index
+        with pytest.raises(ValueError, match=f"index {key} is not an integer"):
+            LaurentSymbol.from_pairs(pairs, band=band)
+
+    def test_numpy_integer_keys_build_the_same_symbol(self):
+        plain = {2: 1j, -1: 3.0}
+        numpy_keys = {np.int64(2): 1j, np.int32(-1): 3.0}
+        assert LaurentSymbol.from_pairs(numpy_keys) == LaurentSymbol.from_pairs(plain)
+        assert generate_symmetric_symbol(
+            {np.int64(1): 1.0, np.int16(2): 2j}, zeta=[1j, 1.0]
+        ) == generate_symmetric_symbol({1: 1.0, 2: 2j}, zeta=[1j, 1.0])
 
     def test_coefficients_are_frozen(self):
         sym = LaurentSymbol.from_pairs({0: 1.0})
@@ -378,6 +393,11 @@ class TestGenerateSymmetricSymbol:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError, match="indexed from 1"):
             generate_symmetric_symbol({0: 1.0})
+
+    def test_rejects_non_integral_index(self):
+        # truncated, 1.2 would overwrite c(1) and c(-1) with 5
+        with pytest.raises(ValueError, match="index 1.2 is not an integer"):
+            generate_symmetric_symbol({1: 1.0, 1.2: 5.0}, zeta=[1.0])
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -676,14 +696,59 @@ class TestExploration:
 
 
 def same_record(block, alone):
-    """A record from a block equals the record of its trial run alone."""
+    """A record from a block equals the record of its trial run alone, bit for bit."""
     assert json_line(record_to_json(block)) == json_line(record_to_json(alone))
     assert (block.trial, block.seed, block.mode) == (alone.trial, alone.seed, alone.mode)
     if block.zeta is None:
         assert alone.zeta is None
     else:
-        assert np.array_equal(block.zeta, alone.zeta)
-    assert block.symbol == alone.symbol
+        assert block.zeta.dtype == alone.zeta.dtype
+        assert block.zeta.tobytes() == alone.zeta.tobytes()
+    assert block.symbol.band == alone.symbol.band
+    assert block.symbol.coeffs.tobytes() == alone.symbol.coeffs.tobytes()
+
+
+def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFAULT_TOL):
+    """Diagonal-mode explore records with each sequence and symbol built on its own.
+
+    The reference for explore's block draws. Each trial forms its sequence
+    with ``np.exp`` of its angles (``np.full`` of one value when constant)
+    and its symbol as ``1.0 * raw / (1 + |n|)``, or its one-sided half
+    damped in place; the halves are then completed and every trial checked
+    as one stack.
+    """
+    modes, zetas, symbols = [], [], []
+    for trial in trials:
+        resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
+        rng = np.random.default_rng((seed, trial))
+        if resolved == "constant":
+            zetas.append(np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
+        else:
+            zetas.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1)))
+        if resolved == "generic":
+            n = np.arange(-band, band + 1)
+            raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
+            symbols.append(LaurentSymbol(band, 1.0 * raw / (1.0 + np.abs(n))))
+        else:
+            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
+            raw[1:] /= 1.0 + np.arange(1, band + 1)
+            symbols.append(raw)
+        modes.append(resolved)
+
+    w = np.stack([sequence_multipliers(zeta, dim) for zeta in zetas])
+    halves = [i for i, s in enumerate(symbols) if not isinstance(s, LaurentSymbol)]
+    if halves:
+        half = np.stack([symbols[i] for i in halves])
+        completed = hardyconj.toeplitz._completed(band, np.arange(1, band + 1), half[:, 1:], w[halves])
+        completed[:, band] = half[:, 0]
+        for i, c in zip(halves, completed):
+            symbols[i] = LaurentSymbol(band, c)
+    coeffs = np.stack([s.coeffs for s in symbols])
+    reports = hardyconj.toeplitz._diagonal_reports(np.conj(w), coeffs, tol)
+    return [
+        ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
+        for trial, resolved, zeta, symbol, report in zip(trials, modes, zetas, symbols, reports)
+    ]
 
 
 class TestExplorationBlocks:
@@ -702,6 +767,18 @@ class TestExplorationBlocks:
         records = explore_symmetry(trials, dim, 8, seed=37, mode=mode)
         for t, record in enumerate(records):
             same_record(record, run_trial(t, dim, 8, seed=37, mode=mode))
+
+    @pytest.mark.parametrize(
+        "mode, dim, band, trials",
+        [(mode, 24, 4, 200) for mode in EXPLORE_MODES if mode != "unitary"]
+        + [("mixed", 2, 1, 30), ("mixed", 300, 299, 20), ("mixed", 512, 8, 3), ("mixed", 4096, 8, 40)],
+    )
+    def test_block_draws_equal_the_per_trial_construction(self, mode, dim, band, trials):
+        records = explore_symmetry(trials, dim, band, seed=53, mode=mode)
+        reference = per_trial_records(range(trials), dim, band, 53, mode)
+        assert len(records) == len(reference) == trials
+        for block, alone in zip(records, reference):
+            same_record(block, alone)
 
     @pytest.mark.parametrize("dim, band, height", [(2, 1, 5), (24, 4, 64), (4500, 9, 7), (9000, 3, 3)])
     def test_kernel_rows_do_not_depend_on_the_stack(self, dim, band, height):
