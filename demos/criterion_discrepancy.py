@@ -12,7 +12,13 @@ Run:  python demos/criterion_discrepancy.py
 
 import numpy as np
 
-from hardyconj import explore_symmetry, run_trial, summarize_exploration
+from hardyconj import (
+    explore_symmetry,
+    run_trial,
+    sequence_condition,
+    summarize_exploration,
+    trial_draws,
+)
 
 SEED, TRIALS, N, BAND = 42, 120, 24, 4
 
@@ -37,15 +43,20 @@ for r in records:
 print(f"  disagreements by trial style      : {by_mode}")
 
 # ---------------------------------------------------------------------------
-# Reproduce one disagreement from its seed alone.
+# Reproduce one disagreement from its seed alone: run_trial rebuilds the
+# record, and trial_draws the sequence and symbol it was checked on.
 # ---------------------------------------------------------------------------
 culprits = [r for r in records if r.report.agree is False]
 if culprits:
     first = culprits[0]
     again = run_trial(first.trial, N, BAND, seed=SEED, mode="mixed")
+    zeta, symbol = trial_draws(first.trial, N, BAND, seed=SEED, mode="mixed")
+    replayed = sequence_condition(symbol, zeta).max_violation
     print(f"\nreplaying trial {first.trial} from seed {first.seed}:")
     print(f"  one-sided violation {again.report.max_coeff_violation:.3e} "
           f"(holds: {again.report.coeff_condition_holds})")
+    print(f"  from its draws      {replayed:.3e} "
+          f"(record: {first.report.max_coeff_violation:.3e})")
     print(f"  residual            {again.report.residual:.3e}")
     print(f"  identical verdicts  {again.report.agree == first.report.agree}")
 

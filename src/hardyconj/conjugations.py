@@ -221,11 +221,12 @@ def sequence_unitary(zeta) -> np.ndarray:
 
     Its columns are the rescaled orthonormal basis {1, zeta_1 z,
     zeta_2^2 z^2, ...}; feeding it to :func:`conjugation_from_unitary`
-    reproduces :func:`sequence_conjugation` on the same sequence.
+    reproduces :func:`sequence_conjugation` on the same sequence. The
+    powers come from the split-angle path of :func:`squared_powers`, so the
+    two stay within roundoff of each other at any N.
     """
     z = unimodular(zeta, start_index=1)
-    n = np.arange(1, z.size + 1)
-    return np.diag(np.concatenate(([1.0 + 0.0j], z ** n)))
+    return np.diag(np.concatenate(([1.0 + 0.0j], _unit_powers(z, np.arange(1, z.size + 1)))))
 
 
 class NotUnitaryError(ValueError):

@@ -194,9 +194,10 @@ def parse_indexed_coefficients(entries, key: str) -> dict[int, complex]:
 
 def symbol_to_json(symbol: LaurentSymbol) -> dict:
     """SymbolFile object: every coefficient in the band, listed by n."""
+    c = symbol.coeffs
     coeffs = [
-        {"n": n, **emit_complex(symbol.coeff(n))}
-        for n in range(-symbol.band, symbol.band + 1)
+        {"n": n, "re": re, "im": im}
+        for n, re, im in zip(range(-symbol.band, symbol.band + 1), c.real.tolist(), c.imag.tolist())
     ]
     return {"schema_version": SCHEMA_VERSION, "band": symbol.band, "coeffs": coeffs}
 
@@ -258,7 +259,11 @@ def report_to_json(report: SymmetryReport) -> dict:
 
 
 def record_to_json(record: ExplorationRecord) -> dict:
-    """Trial, seed pair, resolved mode and report; ``run_trial`` regenerates the rest."""
+    """Every field of the record: trial, seed pair, resolved mode and report.
+
+    ``run_trial`` rebuilds the record from the line and the file's inputs,
+    and ``trial_draws`` the sequence and symbol it was checked on.
+    """
     return {
         "trial": int(record.trial),
         "seed": [int(s) for s in record.seed],

@@ -79,6 +79,7 @@ __all__ = [
     "symmetry_report",
     "symmetry_residual",
     "toeplitz_section",
+    "trial_draws",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -572,13 +573,16 @@ EXPLORE_MODES = ("mixed", "generic", "symmetrized", "constant", "unitary")
 
 @dataclass(frozen=True)
 class ExplorationRecord:
-    """One randomized probe, reproducible from (seed, trial) alone."""
+    """One randomized probe, reproducible from (seed, trial) alone.
+
+    It holds what its JSON line holds: the trial, the seed pair, the
+    resolved mode and the report. :func:`run_trial` rebuilds the record and
+    :func:`trial_draws` the sequence and symbol it was checked on.
+    """
 
     trial: int
     seed: tuple
     mode: str
-    zeta: np.ndarray | None
-    symbol: LaurentSymbol
     report: SymmetryReport
 
 
@@ -589,27 +593,24 @@ def _check_explore(dim: int, band: int, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {EXPLORE_MODES}")
 
 
-def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> list:
-    """Records for ``trials``; in a diagonal mode they are checked as one stack.
+def _unitary_draws(dim: int, band: int, rng: np.random.Generator) -> tuple:
+    """A ``unitary`` trial's draws in their order: the Haar unitary, then the symbol."""
+    u = random_unitary(dim, rng)
+    return u, random_symbol(band, rng)
 
+
+def _block_draws(trials, dim: int, band: int, seed: int, mode: str) -> tuple:
+    """The draws of diagonal-mode ``trials`` as stacks, one row per trial.
+
+    Returns the resolved modes, the sequences (k, dim - 1), their
+    multipliers (k, dim) and the symbols' coefficients (k, 2 * band + 1).
     Each trial draws from its own ``default_rng((seed, trial))`` in a fixed
     order: the sequence angles (one for a constant sequence), then the real
     and the imaginary normals of the symbol, or of its one-sided half. Only
-    the draws are per trial. The exp, the damping, the completion and the
-    checks run once over the block's stacks, with the operations a single
-    trial would use, row by row, so a trial gets the same bits alone or in
-    any block.
+    the draws are per trial. The exp, the damping and the completion run
+    once over the stacks, with the operations a single trial would use,
+    row by row, so a trial gets the same bits alone or in any block.
     """
-    if mode == "unitary":
-        records = []
-        for trial in trials:
-            rng = np.random.default_rng((seed, trial))
-            op = conjugation_from_unitary(random_unitary(dim, rng))
-            symbol = random_symbol(band, rng)
-            report = symmetry_report(op, symbol, dim, tol)
-            records.append(ExplorationRecord(trial, (seed, trial), mode, None, symbol, report))
-        return records
-
     modes = [("generic", "symmetrized", "constant")[t % 3] if mode == "mixed" else mode for t in trials]
     generic = np.array([m == "generic" for m in modes], dtype=bool)
     angles = np.empty((len(modes), dim - 1))
@@ -620,11 +621,13 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
     for i, (trial, resolved) in enumerate(zip(trials, modes)):
         rng = np.random.default_rng((seed, trial))
         if resolved == "constant":
-            angles[i] = rng.uniform(0.0, 2.0 * np.pi)
+            angles[i] = rng.random()
         else:
-            angles[i] = rng.uniform(0.0, 2.0 * np.pi, dim - 1)
+            rng.random(out=angles[i])
         # one (2, width) draw is the stream of two successive width draws
         rng.standard_normal(out=next(full_rows if generic[i] else half_rows))
+    # numpy defines uniform(0, 2 pi) as 0 + 2 pi * random(), so these are its bits
+    angles *= 2.0 * np.pi
 
     zetas = np.exp(1j * angles)
     # the multipliers of sequence_conjugation(zeta), unimodular check included
@@ -637,11 +640,48 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
     completed = _completed(band, np.arange(1, band + 1), half[:, 1:], w[~generic])
     completed[:, band] = half[:, 0]
     coeffs[~generic] = completed
+    return modes, zetas, w, coeffs
+
+
+def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> list:
+    """Records for ``trials``; in a diagonal mode they are checked as one stack.
+
+    A diagonal block draws through :func:`_block_draws` and goes through
+    the offset kernel once; a ``unitary`` trial is drawn and checked on its
+    own. The records keep no draws, so the block's stacks are freed on
+    return.
+    """
+    if mode == "unitary":
+        records = []
+        for trial in trials:
+            u, symbol = _unitary_draws(dim, band, np.random.default_rng((seed, trial)))
+            report = symmetry_report(conjugation_from_unitary(u), symbol, dim, tol)
+            records.append(ExplorationRecord(trial, (seed, trial), mode, report))
+        return records
+    modes, _, w, coeffs = _block_draws(trials, dim, band, seed, mode)
     reports = _diagonal_reports(np.conj(w), coeffs, tol)
     return [
-        ExplorationRecord(trial, (seed, trial), resolved, zeta, LaurentSymbol(band, c), report)
-        for trial, resolved, zeta, c, report in zip(trials, modes, zetas, coeffs, reports)
+        ExplorationRecord(trial, (seed, trial), resolved, report)
+        for trial, resolved, report in zip(trials, modes, reports)
     ]
+
+
+def trial_draws(
+    trial: int, dim: int, band: int, seed: int, mode: str = "mixed"
+) -> tuple[np.ndarray | None, LaurentSymbol]:
+    """The sequence and symbol of one exploration trial, as (zeta, symbol).
+
+    ``zeta`` lists the sequence for indices 1 .. dim-1; a ``unitary`` trial
+    draws a dense map instead and gives None. The draws come from the same
+    code as :func:`explore_symmetry`'s, so they have the bits that trial was
+    checked with: ``symmetry_report(sequence_conjugation(zeta), symbol, dim,
+    tol)`` rebuilds a diagonal trial's report.
+    """
+    _check_explore(dim, band, mode)
+    if mode == "unitary":
+        return None, _unitary_draws(dim, band, np.random.default_rng((seed, trial)))[1]
+    _, zetas, _, coeffs = _block_draws([trial], dim, band, seed, mode)
+    return zetas[0], LaurentSymbol(band, coeffs[0])
 
 
 def run_trial(
@@ -651,6 +691,7 @@ def run_trial(
 
     This is :func:`explore_symmetry`'s block path with a block of one, so
     the record equals that trial's record in any exploration, bit for bit.
+    :func:`trial_draws` gives the sequence and symbol it was checked on.
     """
     _check_explore(dim, band, mode)
     return _run_block([trial], dim, band, seed, mode, tol)[0]
@@ -674,8 +715,9 @@ def explore_symmetry(
     draws a dense random conjugation and records the raw residual only;
     ``mixed`` cycles generic, symmetrized, constant. Trials are
     independent and each reseeds from (seed, trial), so :func:`run_trial`
-    regenerates any record alone, sequence and symbol included; a JSON
-    record therefore carries only the pair, the resolved mode and the report.
+    regenerates any record alone and :func:`trial_draws` its sequence and
+    symbol. A record holds only the pair, the resolved mode and the
+    report, as its JSON line does.
 
     Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``. In the
     diagonal modes (all but ``unitary``) only the seeded draws are per
@@ -687,7 +729,8 @@ def explore_symmetry(
     stack and coefficients a (trials, 2 * band + 1) stack. A ``unitary``
     trial is drawn and checked on its own through :func:`symmetry_report`.
     Rows never mix, so every record has the bits :func:`run_trial` gives
-    it alone; working memory stays at a few stacks of 1 MiB.
+    it alone. Working memory stays at a few stacks of 1 MiB, and what the
+    records retain does not depend on ``dim``.
     """
     if num_trials < 1:
         raise ValueError("need at least one trial")

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+import hardyconj
+import hardyconj.conjugations
+import hardyconj.core
+import hardyconj.toeplitz
 from hardyconj import (
     AntilinearMap,
     adjoint,
@@ -184,3 +188,14 @@ class TestDiagonalForm:
     def test_rejects_empty_or_non_finite_vector(self, factor):
         with pytest.raises(ValueError, match="nonempty and finite"):
             AntilinearMap(np.asarray(factor, dtype=np.complex128))
+
+
+class TestPublicApi:
+    def test_package_exports_exactly_the_module_names(self):
+        modules = (hardyconj.core, hardyconj.conjugations, hardyconj.toeplitz)
+        names = set().union(*(module.__all__ for module in modules))
+        assert set(hardyconj.__all__) == names
+        assert len(hardyconj.__all__) == len(names)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(hardyconj, name) is getattr(module, name), name

@@ -199,6 +199,26 @@ class TestSymbolFiles:
         assert data["schema_version"] == 1
         assert [entry["n"] for entry in data["coeffs"]] == [-2, -1, 0, 1, 2]
 
+    def test_emitted_bytes_equal_the_per_coefficient_form(self):
+        # signed zeros in either part come through the array path unchanged
+        signed_zeros = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j]
+        rng = np.random.default_rng(37)
+        for sym in (
+            LaurentSymbol(2, np.array(signed_zeros + [complex(1.5, -0.0)])),
+            random_symbol(50, rng),
+        ):
+            per_coefficient = {
+                "schema_version": 1,
+                "band": sym.band,
+                "coeffs": [
+                    {"n": n, **emit_complex(sym.coeff(n))} for n in range(-sym.band, sym.band + 1)
+                ],
+            }
+            assert canonical_json(symbol_to_json(sym)) == canonical_json(per_coefficient)
+        zeros = json.loads(canonical_json(symbol_to_json(LaurentSymbol(1, np.array(signed_zeros[:3])))))
+        signs = [(bool(np.signbit(e["re"])), bool(np.signbit(e["im"]))) for e in zeros["coeffs"]]
+        assert signs == [(True, False), (False, True), (True, True)]
+
     def test_rejects_wrong_schema_version(self):
         with pytest.raises(ValueError, match="schema_version"):
             symbol_from_json({"schema_version": 2, "band": 0, "coeffs": []})

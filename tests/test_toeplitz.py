@@ -1,5 +1,6 @@
 """Unit tests for symbols, sections, and the symmetry criteria."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -36,9 +37,11 @@ from hardyconj import (
     symmetry_report,
     symmetry_residual,
     toeplitz_section,
+    trial_draws,
     unimodular,
 )
 import hardyconj.toeplitz
+from hardyconj.conjugations import orthonormalize
 from hardyconj.core import _STACK_ENTRIES
 from hardyconj.jsonio import json_line, record_to_json
 from hardyconj.toeplitz import EXPLORE_MODES, matrix_bandwidth
@@ -82,8 +85,8 @@ def offset_form_draws(dim):
         yield "alpha", phase_conjugation(alpha), random_symbol(band, rng)
         yield "zeta", sequence_conjugation(random_zeta(rng, dim - 1)), random_symbol(band, rng)
         for mode in ("generic", "symmetrized", "constant"):
-            record = run_trial(band, dim, band, seed=dim, mode=mode)
-            yield mode, sequence_conjugation(record.zeta), record.symbol
+            zeta, symbol = trial_draws(band, dim, band, seed=dim, mode=mode)
+            yield mode, sequence_conjugation(zeta), symbol
 
 
 class TestLaurentSymbol:
@@ -630,15 +633,18 @@ class TestExploration:
         records = explore_symmetry(12, 16, 3, seed=7, mode="mixed")
         again = explore_symmetry(12, 16, 3, seed=7, mode="mixed")
 
-        def same(a, b):
-            # the JSON record omits the sequence and the symbol, so compare them here
-            assert record_to_json(a) == record_to_json(b)
-            assert np.array_equal(a.zeta, b.zeta) and a.symbol == b.symbol
-
         for a, b in zip(records, again):
-            same(a, b)
-        # any single record regenerates alone from (seed, trial)
-        same(run_trial(5, 16, 3, seed=7, mode="mixed"), records[5])
+            assert record_to_json(a) == record_to_json(b)
+        # any single record regenerates alone from (seed, trial), and so do its draws
+        alone = run_trial(5, 16, 3, seed=7, mode="mixed")
+        assert record_to_json(alone) == record_to_json(records[5])
+        zeta, symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
+        again_zeta, again_symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
+        assert np.array_equal(zeta, again_zeta) and symbol == again_symbol
+        # and every record's draws rebuild its report
+        for r in records:
+            zeta, symbol = trial_draws(r.trial, 16, 3, seed=7, mode="mixed")
+            assert symmetry_report(sequence_conjugation(zeta), symbol, 16) == r.report, r.trial
 
     def test_constant_mode_always_agrees(self):
         records = explore_symmetry(30, 16, 3, seed=11, mode="constant")
@@ -663,7 +669,7 @@ class TestExploration:
     def test_unitary_mode_reports_residual_only(self):
         records = explore_symmetry(5, 12, 2, seed=17, mode="unitary")
         for r in records:
-            assert r.zeta is None
+            assert trial_draws(r.trial, 12, 2, seed=17, mode="unitary")[0] is None
             assert r.report.coeff_condition_holds is None
         summary = summarize_exploration(records)
         assert summary["onesided_checked"] == 0
@@ -696,26 +702,35 @@ class TestExploration:
 
 
 def same_record(block, alone):
-    """A record from a block equals the record of its trial run alone, bit for bit."""
+    """A record from a block equals the record of its trial run alone, bit for bit.
+
+    A record holds only what its JSON line holds; its draws are compared
+    through :func:`trial_draws` with :func:`same_draws`.
+    """
     assert json_line(record_to_json(block)) == json_line(record_to_json(alone))
     assert (block.trial, block.seed, block.mode) == (alone.trial, alone.seed, alone.mode)
-    if block.zeta is None:
-        assert alone.zeta is None
+
+
+def same_draws(got, expected):
+    """Two (zeta, symbol) pairs hold the same bits; a unitary trial's zeta is None."""
+    (zeta, symbol), (zeta_ref, symbol_ref) = got, expected
+    if zeta_ref is None:
+        assert zeta is None
     else:
-        assert block.zeta.dtype == alone.zeta.dtype
-        assert block.zeta.tobytes() == alone.zeta.tobytes()
-    assert block.symbol.band == alone.symbol.band
-    assert block.symbol.coeffs.tobytes() == alone.symbol.coeffs.tobytes()
+        assert zeta.dtype == zeta_ref.dtype
+        assert zeta.tobytes() == zeta_ref.tobytes()
+    assert symbol.band == symbol_ref.band
+    assert symbol.coeffs.tobytes() == symbol_ref.coeffs.tobytes()
 
 
 def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFAULT_TOL):
-    """Diagonal-mode explore records with each sequence and symbol built on its own.
+    """Diagonal-mode explore records, and their (zeta, symbol) draws, built trial by trial.
 
-    The reference for explore's block draws. Each trial forms its sequence
-    with ``np.exp`` of its angles (``np.full`` of one value when constant)
-    and its symbol as ``1.0 * raw / (1 + |n|)``, or its one-sided half
-    damped in place; the halves are then completed and every trial checked
-    as one stack.
+    The reference for explore's block draws. Each trial draws its angles
+    with ``rng.uniform`` and forms its sequence with ``np.exp`` of them
+    (``np.full`` of one value when constant), and its symbol as
+    ``1.0 * raw / (1 + |n|)``, or its one-sided half damped in place; the
+    halves are then completed and every trial checked as one stack.
     """
     modes, zetas, symbols = [], [], []
     for trial in trials:
@@ -745,10 +760,11 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
             symbols[i] = LaurentSymbol(band, c)
     coeffs = np.stack([s.coeffs for s in symbols])
     reports = hardyconj.toeplitz._diagonal_reports(np.conj(w), coeffs, tol)
-    return [
-        ExplorationRecord(trial, (seed, trial), resolved, zeta, symbol, report)
-        for trial, resolved, zeta, symbol, report in zip(trials, modes, zetas, symbols, reports)
+    records = [
+        ExplorationRecord(trial, (seed, trial), resolved, report)
+        for trial, resolved, report in zip(trials, modes, reports)
     ]
+    return records, list(zip(zetas, symbols))
 
 
 class TestExplorationBlocks:
@@ -763,10 +779,17 @@ class TestExplorationBlocks:
     @pytest.mark.parametrize("mode", [m for m in EXPLORE_MODES if m != "unitary"])
     def test_records_equal_their_trials_across_blocks(self, mode):
         dim, trials = 4096, 40
-        assert trials > 2 * max(1, _STACK_ENTRIES // dim)  # three blocks or more
+        step = max(1, _STACK_ENTRIES // dim)
+        assert trials > 2 * step  # three blocks or more
         records = explore_symmetry(trials, dim, 8, seed=37, mode=mode)
         for t, record in enumerate(records):
             same_record(record, run_trial(t, dim, 8, seed=37, mode=mode))
+        # each of explore's blocks draws what its trials draw alone
+        for start in range(0, trials, step):
+            block = range(start, min(start + step, trials))
+            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(block, dim, 8, 37, mode)
+            for t, zeta, c in zip(block, zetas, coeffs):
+                same_draws((zeta, LaurentSymbol(8, c)), trial_draws(t, dim, 8, seed=37, mode=mode))
 
     @pytest.mark.parametrize(
         "mode, dim, band, trials",
@@ -775,10 +798,48 @@ class TestExplorationBlocks:
     )
     def test_block_draws_equal_the_per_trial_construction(self, mode, dim, band, trials):
         records = explore_symmetry(trials, dim, band, seed=53, mode=mode)
-        reference = per_trial_records(range(trials), dim, band, 53, mode)
-        assert len(records) == len(reference) == trials
-        for block, alone in zip(records, reference):
+        reference, draws = per_trial_records(range(trials), dim, band, 53, mode)
+        modes, zetas, _, coeffs = hardyconj.toeplitz._block_draws(range(trials), dim, band, 53, mode)
+        assert len(records) == len(reference) == len(zetas) == trials
+        assert modes == [r.mode for r in reference]
+        for t, (block, alone, expected) in enumerate(zip(records, reference, draws)):
             same_record(block, alone)
+            same_record(run_trial(t, dim, band, seed=53, mode=mode), alone)
+            same_draws(trial_draws(t, dim, band, seed=53, mode=mode), expected)
+            same_draws((zetas[t], LaurentSymbol(band, coeffs[t])), expected)
+
+    def test_unitary_draws_follow_the_haar_unitary(self):
+        # random_unitary draws two dim x dim normal matrices, and the symbol follows
+        dim, band = 24, 4
+        records = explore_symmetry(20, dim, band, seed=31, mode="unitary")
+        n = np.arange(-band, band + 1)
+        for t, record in enumerate(records):
+            rng = np.random.default_rng((31, t))
+            z = rng.standard_normal((2, dim, dim))
+            raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
+            symbol = LaurentSymbol(band, 1.0 * raw / (1.0 + np.abs(n)))
+            same_draws(trial_draws(t, dim, band, seed=31, mode="unitary"), (None, symbol))
+            op = conjugation_from_unitary(orthonormalize(z[0] + 1j * z[1]))
+            alone = ExplorationRecord(t, (31, t), "unitary", symmetry_report(op, symbol, dim))
+            same_record(record, alone)
+
+    def test_records_hold_only_their_json_fields(self, monkeypatch):
+        fields = [f.name for f in dataclasses.fields(ExplorationRecord)]
+        assert fields == ["trial", "seed", "mode", "report"]
+        built = []
+        post_init = LaurentSymbol.__post_init__
+
+        def counting_post_init(symbol):
+            built.append(symbol.band)
+            post_init(symbol)
+
+        monkeypatch.setattr(LaurentSymbol, "__post_init__", counting_post_init)
+        records = explore_symmetry(200, 24, 4, seed=43, mode="mixed")
+        assert len(records) == 200
+        assert built == []
+        # the counter sees a symbol that is built
+        trial_draws(0, 24, 4, seed=43)
+        assert built == [4]
 
     @pytest.mark.parametrize("dim, band, height", [(2, 1, 5), (24, 4, 64), (4500, 9, 7), (9000, 3, 3)])
     def test_kernel_rows_do_not_depend_on_the_stack(self, dim, band, height):
@@ -802,17 +863,20 @@ class TestExplorationBlocks:
                 assert whole[i].tobytes() == alone[0].tobytes(), i
 
     def test_memory_is_bounded_by_the_block(self):
-        # at N = 2**16 a block holds one trial; the records keep their
-        # sequences (8 x 1 MiB), and one block's work adds about as much
-        # again, while a single stack of all 8 trials would peak near 60 MB
-        tracemalloc.start()
-        try:
-            records = explore_symmetry(8, 2**16, 8, seed=41)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(records) == 8
-        assert peak < 20_000_000
+        # a record keeps its report and no draws, so what a run retains does
+        # not grow with N; the peak is one block's work, a few stacks of
+        # 1 MiB. At N = 2**16 a block holds one trial, where a single stack
+        # of all 8 trials would peak near 60 MB.
+        for trials, dim in ((8, 2**16), (400, 4096)):
+            tracemalloc.start()
+            try:
+                records = explore_symmetry(trials, dim, 8, seed=41)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == trials
+            assert retained < 2_000_000, (trials, dim)
+            assert peak < 12_000_000, (trials, dim)
 
     def test_mixed_run_checks_each_block_once(self, monkeypatch):
         reports, kernels = [], []
