@@ -302,9 +302,16 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return orthonormalize(z)
+    return orthonormalize(_complex_gaussian(dim, np.random.default_rng(seed)))
+
+
+def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The standard complex Gaussian matrix :func:`random_unitary` orthonormalizes.
+
+    Its real part is drawn first, then its imaginary part, each as one
+    dim x dim normal draw from ``rng``.
+    """
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 @dataclass(frozen=True)

@@ -930,6 +930,12 @@ class TestUsageErrors:
                 "check-symmetry", "--symbol", "sym.json", "--conjugation", '{"kind":"j"}',
                 "--n", "1000000000000000", "--out", "out.json",
             ],
+            # numpy's seeding refuses a negative seed, in a diagonal mode and in unitary
+            ["explore", "--seed", "-1", "--out", "out.json"],
+            [
+                "explore", "--mode", "unitary", "--seed", "-1", "--n", "8", "--band", "2",
+                "--trials", "2", "--out", "out.json",
+            ],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
@@ -939,6 +945,15 @@ class TestUsageErrors:
         code, _, err = run(argv, capsys)
         assert_one_line_usage_error(code, err)
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("mode", ["mixed", "unitary"])
+    def test_negative_seed_is_numpys_error(self, mode, capsys, tmp_path):
+        out = tmp_path / "out.jsonl"
+        argv = ["explore", "--mode", mode, "--seed", "-1", "--n", "8", "--band", "2", "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.splitlines() == ["error: expected non-negative integer"]
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

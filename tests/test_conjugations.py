@@ -91,7 +91,7 @@ class TestCanonicalConjugation:
         rng = np.random.default_rng(1)
         for _ in range(100):
             f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            np.testing.assert_allclose(j(j(f)), f, atol=1e-15)
+            np.testing.assert_allclose(j(j(f)), f, atol=1e-15, rtol=0)
 
     def test_fixes_real_basis_vectors(self):
         j = canonical_conjugation(4)
@@ -130,6 +130,7 @@ class TestPhaseConjugation:
                 phase_conjugation(alpha).a_matrix,
                 rotation_conjugation(lam, 16).a_matrix,
                 atol=1e-12,
+                rtol=0,
             )
 
     def test_all_ones_is_canonical(self):
@@ -157,12 +158,13 @@ class TestSequenceConjugation:
                 sequence_conjugation(zeta).a_matrix,
                 rotation_conjugation(lam, 32).a_matrix,
                 atol=1e-12,
+                rtol=0,
             )
 
     def test_half_turn_multipliers_alternate(self):
         zeta = np.full(7, np.exp(1j * np.pi / 2.0))
         diag = np.diag(sequence_conjugation(zeta).a_matrix)
-        np.testing.assert_allclose(diag, (-1.0) ** np.arange(8), atol=1e-12)
+        np.testing.assert_allclose(diag, (-1.0) ** np.arange(8), atol=1e-12, rtol=0)
 
     def test_conjugated_root_entries_give_explicit_phases(self):
         # zeta_n = conj(exp(i theta_n / (2n))) makes coefficient n pick up exp(i theta_n)
@@ -175,6 +177,7 @@ class TestSequenceConjugation:
             sequence_conjugation(zeta).a_matrix,
             phase_conjugation(alpha).a_matrix,
             atol=1e-12,
+            rtol=0,
         )
 
     def test_all_ones_is_canonical(self):
@@ -305,7 +308,7 @@ class TestCoefficientMatrix:
         theta = 0.8
         lam = np.exp(1j * theta)
         b = rotation_conjugation(lam, 12).a_matrix
-        np.testing.assert_allclose(b, np.diag(np.conj(lam ** np.arange(12))), atol=1e-14)
+        np.testing.assert_allclose(b, np.diag(np.conj(lam ** np.arange(12))), atol=1e-14, rtol=0)
 
     def test_conjugated_root_sequence_expansion_is_phase_diagonal(self):
         rng = np.random.default_rng(21)
@@ -314,14 +317,14 @@ class TestCoefficientMatrix:
         zeta = np.conj(np.exp(1j * thetas / (2.0 * n)))
         b = sequence_conjugation(zeta).a_matrix
         expected = np.diag(np.concatenate(([1.0], np.exp(1j * thetas))))
-        np.testing.assert_allclose(b, expected, atol=1e-12)
+        np.testing.assert_allclose(b, expected, atol=1e-12, rtol=0)
 
     def test_canonical_gives_identity(self):
         np.testing.assert_allclose(canonical_conjugation(4).a_matrix, np.eye(4))
 
     def test_columns_orthonormal_for_valid_conjugations(self):
         b = conjugation_from_unitary(random_unitary(16, 4)).a_matrix
-        np.testing.assert_allclose(b.conj().T @ b, np.eye(16), atol=1e-12)
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(16), atol=1e-12, rtol=0)
 
 
 class TestVerifyConjugation:
@@ -430,7 +433,9 @@ class TestFactorDiagonal:
         # small angle keeps every principal square root on the expected branch
         theta = 0.3
         u = factor_diagonal(rotation_conjugation(np.exp(1j * theta), 8))
-        np.testing.assert_allclose(np.diag(u), np.exp(1j * theta / 2.0 * np.arange(8)), atol=1e-12)
+        np.testing.assert_allclose(
+            np.diag(u), np.exp(1j * theta / 2.0 * np.arange(8)), atol=1e-12, rtol=0
+        )
 
     def test_canonical_factors_to_identity(self):
         np.testing.assert_allclose(factor_diagonal(canonical_conjugation(5)), np.eye(5))

@@ -81,7 +81,7 @@ class TestParseSequenceSpec:
 
     def test_thetas_generator(self):
         seq = parse_sequence_spec({"thetas": [0.0, np.pi]}, 2)
-        np.testing.assert_allclose(seq, [1.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(seq, [1.0, -1.0], atol=1e-15, rtol=0)
 
     def test_explicit_values(self):
         seq = parse_sequence_spec({"values": [{"re": 0.0, "im": 1.0}, {"theta": 0.0}]}, 2)
@@ -129,7 +129,7 @@ class TestConjugationFromSpec:
 
     def test_rotation_kind_with_theta(self):
         op = conjugation_from_spec({"kind": "lambda", "value": {"theta": np.pi}}, 3)
-        np.testing.assert_allclose(np.diag(op.a_matrix), [1.0, -1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.diag(op.a_matrix), [1.0, -1.0, 1.0], atol=1e-12, rtol=0)
         assert op.dim == 3
 
     def test_phase_kind_covers_all_indices(self):

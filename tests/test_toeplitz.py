@@ -155,7 +155,7 @@ class TestFourierCoefficients:
             sym = random_symbol(band, rng)
             samples = evaluate_on_grid(sym, 2 * band + 1 + extra)
             back = fourier_coefficients(samples, band)
-            np.testing.assert_allclose(back.coeff_array(), sym.coeff_array(), atol=1e-12)
+            np.testing.assert_allclose(back.coeff_array(), sym.coeff_array(), atol=1e-12, rtol=0)
 
     def test_too_few_samples_alias(self):
         with pytest.raises(ValueError, match="alias"):
@@ -209,7 +209,7 @@ class TestToeplitzSection:
             f[:keep] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
             product = toeplitz_section(sym, dim) @ f
             oracle = multiply_truncate(sym, f)
-            np.testing.assert_allclose(product[:keep], oracle[:keep], atol=1e-12)
+            np.testing.assert_allclose(product[:keep], oracle[:keep], atol=1e-12, rtol=0)
 
     def test_matches_convolution_oracle_everywhere_for_truncated_input(self):
         # with input already truncated to the section, every output entry is exact
@@ -217,7 +217,7 @@ class TestToeplitzSection:
         sym = random_symbol(4, rng)
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         np.testing.assert_allclose(
-            toeplitz_section(sym, 16) @ f, multiply_truncate(sym, f), atol=1e-12
+            toeplitz_section(sym, 16) @ f, multiply_truncate(sym, f), atol=1e-12, rtol=0
         )
 
 
@@ -698,7 +698,7 @@ class TestExploration:
     def test_sequence_multipliers_squared_powers(self):
         zeta = np.array([1j, np.exp(1j * np.pi / 4.0)])
         w = sequence_multipliers(zeta, 3)
-        np.testing.assert_allclose(w, [1.0, -1.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose(w, [1.0, -1.0, -1.0], atol=1e-14, rtol=0)
 
 
 def same_record(block, alone):
@@ -901,3 +901,75 @@ class TestExplorationBlocks:
         step = _STACK_ENTRIES // 4096
         assert kernels == [step] * (40 // step) + [40 % step] * (40 % step > 0)
 
+
+
+class TestTrialSeeding:
+    """Explore seeds a block at once; every trial's stream is default_rng((seed, trial))'s."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 3, 10**40])
+    @pytest.mark.parametrize(
+        "trials",
+        [[0], [1], [2**32 - 1], [2**32], range(40), [5, 2**32, 0, 2**32 - 1, 2**64 + 1, 1]],
+    )
+    def test_generators_are_numpys(self, seed, trials):
+        generators = hardyconj.toeplitz._trial_generators(seed, trials)
+        for count, (t, rng) in enumerate(zip(trials, generators), 1):
+            ref = np.random.default_rng((seed, t))
+            assert rng.bit_generator.state == ref.bit_generator.state, t
+            assert rng.random(3).tobytes() == ref.random(3).tobytes(), t
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), t
+        assert count == len(trials)
+
+    def test_hashed_states_are_seed_sequences(self):
+        # entropy of 1 .. 9 words: shorter than the pool, filling it and beyond
+        rng = np.random.default_rng(61)
+        for length in range(1, 10):
+            entropy = rng.integers(0, 2**32, (length, 7), dtype=np.uint32)
+            entropy[:, 0] = 0
+            entropy[:, 1] = 2**32 - 1
+            padded = np.zeros((max(length, 4), 7), dtype=np.uint32)
+            padded[:length] = entropy
+            states = hardyconj.toeplitz._seed_states(padded)
+            for column, state in zip(entropy.T, states):
+                expected = np.random.SeedSequence(column).generate_state(4, np.uint64)
+                assert state == expected.tolist(), (length, column)
+
+    def test_large_seeds_and_trials_replay(self):
+        trials, seed = [0, 2**32 - 1, 2**32, 2**64 + 1], 10**40
+        reference, draws = per_trial_records(trials, 24, 4, seed, "mixed")
+        records = hardyconj.toeplitz._run_block(trials, 24, 4, seed, "mixed", reference[0].report.tol)
+        _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
+        for i, t in enumerate(trials):
+            same_record(records[i], reference[i])
+            same_record(run_trial(t, 24, 4, seed=seed), reference[i])
+            same_draws(trial_draws(t, 24, 4, seed=seed), draws[i])
+            same_draws((zetas[i], LaurentSymbol(4, coeffs[i])), draws[i])
+
+    @pytest.mark.parametrize("mode", EXPLORE_MODES)
+    def test_negative_seed_or_trial_is_numpys_error(self, mode):
+        message = "expected non-negative integer"
+        with pytest.raises(ValueError, match=message):
+            np.random.default_rng((-1, 0))
+        for call in (
+            lambda: run_trial(-1, 8, 2, seed=3, mode=mode),
+            lambda: run_trial(0, 8, 2, seed=-1, mode=mode),
+            lambda: trial_draws(-1, 8, 2, seed=3, mode=mode),
+            lambda: trial_draws(0, 8, 2, seed=-1, mode=mode),
+            lambda: explore_symmetry(3, 8, 2, seed=-1, mode=mode),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_unitary_trial_draws_make_no_qr(self, monkeypatch):
+        dim, band = 64, 8
+        expected = [trial_draws(t, dim, band, seed=19, mode="unitary") for t in range(3)]
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("QR factorization")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        for t in range(3):
+            same_draws(trial_draws(t, dim, band, seed=19, mode="unitary"), expected[t])
+        # the record still orthonormalizes its draw
+        with pytest.raises(AssertionError, match="QR"):
+            run_trial(0, dim, band, seed=19, mode="unitary")
