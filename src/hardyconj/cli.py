@@ -19,16 +19,18 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
+import warnings
 
 from . import jsonio
 from .conjugations import verify_conjugation
 from .toeplitz import (
     EXPLORE_MODES,
-    explore_symmetry,
+    _explore_blocks,
+    _summarize_blocks,
     generate_symmetric_symbol,
-    summarize_exploration,
     symmetry_report,
 )
 
@@ -79,8 +81,10 @@ def _positive_int(text: str) -> int:
 
 def _emit_report(report: dict, out, started: float) -> None:
     if out:
+        # encoded first: a report that cannot be written leaves no file
+        text = jsonio.canonical_json(report)
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(jsonio.canonical_json(report))
+            fh.write(text)
     shown = dict(report)
     shown["runtime_ms"] = int(round((time.perf_counter() - started) * 1000.0))
     sys.stdout.write(jsonio.canonical_json(shown))
@@ -189,10 +193,7 @@ def _cmd_explore(args) -> int:
     started = time.perf_counter()
     if not args.n > args.band >= 1:
         raise ValueError(f"need --n > --band >= 1, got n={args.n} band={args.band}")
-    records = explore_symmetry(
-        args.trials, args.n, args.band, args.seed, mode=args.mode, tol=args.tol
-    )
-    summary = summarize_exploration(records)
+    blocks = _explore_blocks(args.trials, args.n, args.band, args.seed, args.mode, args.tol)
     inputs = {
         "trials": args.trials,
         "n": args.n,
@@ -201,12 +202,18 @@ def _cmd_explore(args) -> int:
         "mode": args.mode,
         "tol": args.tol,
     }
-    # the last line carries the inputs so the file replays alone; no path,
-    # so the same run written elsewhere gives the same bytes
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(jsonio.json_line(jsonio.record_to_json(record)))
-        fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
+    # each block's lines are written as the block finishes; the last line
+    # carries the inputs so the file replays alone, and no path, so the
+    # same run written elsewhere gives the same bytes
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            summary = _summarize_blocks(_written(blocks, fh))
+            fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
+    except BaseException:
+        # a failed run leaves no partial file; a device or pipe is left alone
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     report = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "command": "explore",
@@ -216,6 +223,13 @@ def _cmd_explore(args) -> int:
     # records already streamed to --out; the summary goes to stdout
     _emit_report(report, None, started)
     return EXIT_OK if summary["onesided_disagreements"] == 0 else EXIT_NEGATIVE
+
+
+def _written(blocks, fh):
+    """Each of ``blocks``, after its record lines are written to ``fh``."""
+    for block in blocks:
+        fh.write(jsonio._record_lines(block))
+        yield block
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,7 +318,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        # an overflow shows as a non-finite value, which the report refuses
+        # with the one error line; numpy's RuntimeWarning would come first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.handler(args)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         # MemoryError: a size numpy refuses outright, such as a huge --n
         print(f"error: {exc}", file=sys.stderr)

@@ -262,7 +262,9 @@ def record_to_json(record: ExplorationRecord) -> dict:
     """Every field of the record: trial, seed pair, resolved mode and report.
 
     ``run_trial`` rebuilds the record from the line and the file's inputs,
-    and ``trial_draws`` the sequence and symbol it was checked on.
+    and ``trial_draws`` the sequence and symbol it was checked on. The
+    ``explore`` command writes its lines from block columns without
+    building this dict; ``json_line`` of it is the reference for those bytes.
     """
     return {
         "trial": int(record.trial),
@@ -285,3 +287,41 @@ def canonical_json(obj) -> str:
 def json_line(obj) -> str:
     """Deterministic single-line JSON record."""
     return _LINE.encode(obj) + "\n"
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _floats(values) -> list:
+    """``json_line``'s text of each float, null for None; NaN and infinities raise, as there."""
+    texts = ["null" if v is None else float.__repr__(v) for v in values]
+    if {"nan", "inf", "-inf"}.intersection(texts):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return texts
+
+
+def _record_lines(block) -> str:
+    """``json_line(record_to_json(r))`` of every record of an explore block, joined.
+
+    One fixed layout, keys in sorted order, is filled from the block's
+    columns (``toeplitz._run_block``), so no record or dict is built.
+    """
+    seed, (tol,) = int(block.seed), _floats([float(block.tol)])
+    modes = {m: _LINE.encode(m) for m in set(block.modes)}
+    columns = zip(
+        map(int, block.trials),
+        block.modes,
+        _floats(block.residual),
+        _floats(block.onesided),
+        _floats(block.entrywise),
+        block.onesided_holds,
+        block.entrywise_holds,
+        block.agree,
+    )
+    return "".join([
+        f'{{"mode":{modes[m]},"report":{{"agree":{_LITERALS[a]},'
+        f'"coeff_condition_holds":{_LITERALS[oh]},"entrywise_holds":{_LITERALS[eh]},'
+        f'"entrywise_violation":{e},"max_coeff_violation":{o},"residual":{r},"tol":{tol}}},'
+        f'"seed":[{seed},{t}],"trial":{t}}}\n'
+        for t, m, r, o, e, oh, eh, a in columns
+    ])

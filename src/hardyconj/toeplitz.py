@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -298,7 +301,8 @@ def _offset_criteria(coeffs, onesided=None, entrywise=None, diagonal=None):
     minus = coeffs[:, band::-1, None]
     one = ent = res = None
     if onesided is not None:
-        gap = _times(plus[..., 0], onesided) - minus[..., 0]
+        gap = _times(plus[..., 0], onesided)
+        gap -= minus[..., 0]
         # hypot rounds like the scalar abs the completion rule was checked with
         one = np.hypot(gap.real, gap.imag).max(axis=1)
     if entrywise is None and diagonal is None:
@@ -310,13 +314,15 @@ def _offset_criteria(coeffs, onesided=None, entrywise=None, diagonal=None):
     x_work = np.empty((k, dim - 1), dtype=np.complex128)
     y_work = np.empty_like(x_work)
     real_work = np.empty((k, 2 * (dim - 1)))
+    x_parts = x_work.view(np.float64)  # real and imaginary parts, interleaved
     if entrywise is not None:
         w = entrywise
         peaks = np.zeros((k, m + 1))  # column p: each trial's largest gap at offset p
     if diagonal is not None:
         d = diagonal
         squares = np.zeros((k, m + 1))  # column p: each trial's sum of squares at offset p
-        conj_plus, conj_minus = np.conj(plus), np.conj(minus)
+        conj = np.conj(coeffs)
+        conj_plus, conj_minus = conj[:, band:, None], conj[:, band::-1, None]
     for p in range(1, m + 1):
         n = dim - p
         x, y = x_work[:, :n], y_work[:, :n]
@@ -332,7 +338,7 @@ def _offset_criteria(coeffs, onesided=None, entrywise=None, diagonal=None):
             np.subtract(x, y, x)
             # square, then sum along rows: unlike einsum, or a sum down a
             # column, this gives a row the same bits at any stack height
-            np.square(x.view(np.float64), real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
+            np.square(x_parts[:, : 2 * n], real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
     if entrywise is not None:
         ent = peaks.max(axis=1)
     if diagonal is not None:
@@ -397,7 +403,7 @@ def _multipliers(d: np.ndarray) -> np.ndarray:
     # validate but do not renormalize: constructed diagonals are exact already,
     # and renormalizing here would perturb multipliers that the one-sided
     # completion rule reproduces bit for bit
-    if np.max(np.abs(np.abs(d) - 1.0)) > 1e-8:
+    if np.abs(np.abs(d) - 1.0).max() > 1e-8:
         raise ValueError("diagonal entries are not unimodular")
     return np.conj(d) * d[..., :1]
 
@@ -536,42 +542,76 @@ def symmetry_report(
     diagonal one such as ``AntilinearMap(np.diag(d))``, gets the section
     and the dense :func:`symmetry_residual` over all of it, and no
     criteria. The report has no window; a caller that wants a trimmed one
-    for a banded dense map calls :func:`symmetry_residual` with it.
+    for a banded dense map calls :func:`symmetry_residual` with it. The
+    report is the one row of a block of :func:`explore_symmetry`'s kind,
+    so its verdicts follow explore's rule.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
     if op.diagonal is None:
-        return SymmetryReport(
-            residual=symmetry_residual(op, toeplitz_section(symbol, dim)),
-            coeff_condition_holds=None,
-            max_coeff_violation=None,
-            agree=None,
-            tol=tol,
-        )
+        residual = np.array([symmetry_residual(op, toeplitz_section(symbol, dim))])
+        return _reports(_columns(tol, residual))[0]
     d = _section_diagonal(op, dim)
-    return _diagonal_reports(d[None], symbol.coeffs[None], tol)[0]
+    return _reports(_columns(tol, *_diagonal_criteria(d[None], symbol.coeffs[None])))[0]
 
 
-def _diagonal_reports(d: np.ndarray, coeffs: np.ndarray, tol: float) -> list[SymmetryReport]:
-    """One report per row of a stack of diagonals (k, dim) and symbols (k, 2M + 1).
+def _diagonal_criteria(d: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """(residual, one-sided, entrywise) of each row of diagonals (k, dim) and symbols (k, 2M + 1).
 
     The whole stack goes through :func:`_offset_criteria` once; needs M <= dim - 1.
     """
     w = _multipliers(d)
     band = coeffs.shape[1] // 2
     one, ent, res = _offset_criteria(coeffs, onesided=w[:, : band + 1], entrywise=w, diagonal=d)
-    return [
-        SymmetryReport(
-            residual=r,
-            coeff_condition_holds=o <= tol,
-            max_coeff_violation=o,
-            agree=(r <= tol) == (o <= tol),
-            tol=tol,
-            entrywise_holds=e <= tol,
-            entrywise_violation=e,
-        )
-        for r, o, e in zip(res.tolist(), one.tolist(), ent.tolist())
-    ]
+    return res, one, ent
+
+
+class _Block(NamedTuple):
+    """Trials checked together, as columns: one list entry per trial.
+
+    ``holds`` is the oracle's verdict ``residual <= tol``. A dense map has
+    no criteria: its ``onesided`` and ``entrywise`` values and their
+    verdicts, ``agree`` included, are None. A lone report is a block with
+    no trials, modes or seed.
+    """
+
+    tol: float
+    residual: list
+    onesided: list
+    entrywise: list
+    holds: list
+    onesided_holds: list
+    entrywise_holds: list
+    agree: list
+    trials: Sequence = ()
+    modes: Sequence = ()
+    seed: int | None = None
+
+
+def _columns(tol, residual, onesided=None, entrywise=None, **trials) -> _Block:
+    """A block from its (k,) value arrays: the one place verdicts are made.
+
+    Each verdict is one pass over the block's values, compared as Python
+    floats, as :func:`summarize_exploration` compares a report's. ``trials``
+    are the block's trials, modes and seed.
+    """
+    residual = residual.tolist()
+    holds = [r <= tol for r in residual]
+    if onesided is None:
+        none = [None] * len(residual)
+        return _Block(tol, residual, none, none, holds, none, none, none, **trials)
+    onesided, entrywise = onesided.tolist(), entrywise.tolist()
+    onesided_holds = [o <= tol for o in onesided]
+    entrywise_holds = [e <= tol for e in entrywise]
+    agree = list(map(operator.eq, onesided_holds, holds))
+    return _Block(tol, residual, onesided, entrywise, holds, onesided_holds,
+                  entrywise_holds, agree, **trials)
+
+
+def _reports(b: _Block) -> list[SymmetryReport]:
+    """The report of each row of a block."""
+    return list(map(SymmetryReport, b.residual, b.onesided_holds, b.onesided, b.agree,
+                    repeat(b.tol), b.entrywise_holds, b.entrywise))
 
 
 EXPLORE_MODES = ("mixed", "generic", "symmetrized", "constant", "unitary")
@@ -792,27 +832,32 @@ def _block_draws(trials, dim: int, band: int, seed: int, mode: str) -> tuple:
     return modes, zetas, w, coeffs
 
 
-def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> list:
-    """Records for ``trials``; in a diagonal mode they are checked as one stack.
+def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> _Block:
+    """The columns of ``trials``, checked as one stack in a diagonal mode.
 
     A diagonal block draws through :func:`_block_draws` and goes through
     the offset kernel once; a ``unitary`` trial is drawn and checked on its
-    own. The records keep no draws, so the block's stacks are freed on
-    return.
+    own, and has no criteria. The block's stacks are freed on return: the
+    columns hold Python values only, and every consumer (records, report
+    lines, summary) reads its verdicts from them.
     """
     if mode == "unitary":
-        records = []
-        for trial, rng in zip(trials, _trial_generators(seed, trials)):
+        residual = []
+        for rng in _trial_generators(seed, trials):
             z, symbol = _unitary_draws(dim, band, rng)
-            report = symmetry_report(conjugation_from_unitary(orthonormalize(z)), symbol, dim, tol)
-            records.append(ExplorationRecord(trial, (seed, trial), mode, report))
-        return records
+            op = conjugation_from_unitary(orthonormalize(z))
+            residual.append(symmetry_residual(op, toeplitz_section(symbol, dim)))
+        modes = [mode] * len(trials)
+        return _columns(tol, np.array(residual), trials=trials, modes=modes, seed=seed)
     modes, _, w, coeffs = _block_draws(trials, dim, band, seed, mode)
-    reports = _diagonal_reports(np.conj(w), coeffs, tol)
-    return [
-        ExplorationRecord(trial, (seed, trial), resolved, report)
-        for trial, resolved, report in zip(trials, modes, reports)
-    ]
+    values = _diagonal_criteria(np.conj(w), coeffs)
+    return _columns(tol, *values, trials=trials, modes=modes, seed=seed)
+
+
+def _records(block: _Block) -> list[ExplorationRecord]:
+    """The record of each trial of ``block``."""
+    pairs = ((block.seed, t) for t in block.trials)
+    return list(map(ExplorationRecord, block.trials, pairs, block.modes, _reports(block)))
 
 
 def trial_draws(
@@ -843,7 +888,7 @@ def run_trial(
     :func:`trial_draws` gives the sequence and symbol it was checked on.
     """
     _check_explore(dim, band, mode)
-    return _run_block([trial], dim, band, seed, mode, tol)[0]
+    return _records(_run_block([trial], dim, band, seed, mode, tol))[0]
 
 
 def explore_symmetry(
@@ -868,30 +913,29 @@ def explore_symmetry(
     symbol. A record holds only the pair, the resolved mode and the
     report, as its JSON line does.
 
-    Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``. Each trial
-    draws from exactly ``default_rng((seed, trial))``'s stream; the block
-    hashes all its (seed, trial) pairs as one array and sets one generator
-    to each trial's state in turn. In the diagonal modes (all but
-    ``unitary``) only the seeded draws are per trial: each trial, in trial
-    order, writes its sequence angles and its symbol's normals into the
-    block's stacks. The
-    sequences (``np.exp``), their multipliers, the damping and one-sided
-    completion of the symbols and every offset of the criteria are then
-    array operations over the block: multipliers form a (trials, dim)
-    stack and coefficients a (trials, 2 * band + 1) stack. A ``unitary``
-    trial is drawn and checked on its own through :func:`symmetry_report`.
-    Rows never mix, so every record has the bits :func:`run_trial` gives
-    it alone. Working memory stays at a few stacks of 1 MiB, and what the
-    records retain does not depend on ``dim``.
+    Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``, as the
+    module docstring describes: only the seeded draws are per trial, and
+    each block becomes columns of values and verdicts (``_run_block``),
+    from which the records are made. The ``explore`` command writes the
+    same columns straight to record lines, block by block, with these
+    records' bytes. Rows never mix, so every record has the bits
+    :func:`run_trial` gives it alone. Working memory stays at a few stacks
+    of 1 MiB, and what the records retain does not depend on ``dim``.
     """
+    blocks = _explore_blocks(num_trials, dim, band, seed, mode, tol)
+    return [record for block in blocks for record in _records(block)]
+
+
+def _explore_blocks(num_trials: int, dim: int, band: int, seed: int, mode: str, tol: float):
+    """:func:`explore_symmetry`'s blocks, each run as it is reached; the geometry is checked now."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
     _check_explore(dim, band, mode)
     step = max(1, _STACK_ENTRIES // dim)
-    records = []
-    for start in range(0, num_trials, step):
-        records += _run_block(range(start, min(start + step, num_trials)), dim, band, seed, mode, tol)
-    return records
+    return (
+        _run_block(range(start, min(start + step, num_trials)), dim, band, seed, mode, tol)
+        for start in range(0, num_trials, step)
+    )
 
 
 def summarize_exploration(records) -> dict:
@@ -901,22 +945,47 @@ def summarize_exploration(records) -> dict:
     oracle, which trials disagree (reproducible via their seeds), whether
     the entrywise criterion ever mismatches the oracle (it should not),
     and the largest residual among trials where the one-sided criterion
-    holds.
+    holds. The ``explore`` command folds its blocks' columns through the
+    same code, so this is the reference for its summary line.
     """
-    checked = [r for r in records if r.report.coeff_condition_holds is not None]
-    disagreements = [r.trial for r in checked if not r.report.agree]
-    entrywise_mismatches = [
-        r.trial
-        for r in checked
-        if r.report.entrywise_holds != (r.report.residual <= r.report.tol)
-    ]
-    holding = [r.report.residual for r in checked if r.report.coeff_condition_holds]
+    reports = ((r.trial, r.report) for r in records)
+    return _summary(
+        (t, p.residual, p.residual <= p.tol, p.coeff_condition_holds, p.entrywise_holds, p.agree)
+        for t, p in reports
+    )
+
+
+def _summarize_blocks(blocks) -> dict:
+    """:func:`summarize_exploration` of the records of ``blocks``, taken one block at a time."""
+    return _summary(
+        row
+        for b in blocks
+        for row in zip(b.trials, b.residual, b.holds, b.onesided_holds, b.entrywise_holds, b.agree)
+    )
+
+
+def _summary(rows) -> dict:
+    """The summary of rows (trial, residual, holds, onesided_holds, entrywise_holds, agree)."""
+    trials = checked = 0
+    disagreements, mismatches, peak = [], [], None
+    for trial, residual, holds, onesided_holds, entrywise_holds, agree in rows:
+        trials += 1
+        if onesided_holds is None:
+            continue
+        checked += 1
+        if not agree:
+            disagreements.append(trial)
+        if entrywise_holds != holds:
+            mismatches.append(trial)
+        # the first of equal maxima, as max() keeps it
+        if onesided_holds and (peak is None or residual > peak):
+            peak = residual
     return {
-        "trials": len(records),
-        "onesided_checked": len(checked),
-        "onesided_agreements": len(checked) - len(disagreements),
+        "trials": trials,
+        "onesided_checked": checked,
+        "onesided_agreements": checked - len(disagreements),
         "onesided_disagreements": len(disagreements),
         "disagreement_trials": disagreements,
-        "entrywise_mismatch_trials": entrywise_mismatches,
-        "max_residual_when_condition_holds": max(holding) if holding else None,
+        "entrywise_mismatch_trials": mismatches,
+        "max_residual_when_condition_holds": peak,
     }

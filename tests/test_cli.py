@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hardyconj.toeplitz
 from hardyconj import (
     canonical_conjugation,
     cli,
     conjugation_from_unitary,
+    explore_symmetry,
     phase_conjugation,
     random_unitary,
     rotation_conjugation,
     sequence_conjugation,
+    summarize_exploration,
 )
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
 from hardyconj.jsonio import conjugation_from_spec, json_line, record_to_json
@@ -705,6 +709,114 @@ class TestExplore:
         )
         assert code == 2
         assert "band" in err
+
+
+def rebuilt_explore(trials, n, band, seed, mode, out):
+    """The --out bytes and stdout report (less runtime_ms) of explore, rebuilt from the library."""
+    records = explore_symmetry(trials, n, band, seed, mode=mode)
+    summary = summarize_exploration(records)
+    inputs = {"trials": trials, "n": n, "band": band, "seed": seed, "mode": mode, "tol": 1e-10}
+    lines = [json_line(record_to_json(r)) for r in records]
+    lines.append(json_line({"inputs": inputs, "summary": summary}))
+    report = {
+        "schema_version": 1,
+        "command": "explore",
+        "inputs": {**inputs, "out": str(out)},
+        "results": summary,
+    }
+    return "".join(lines), report
+
+
+class TestExploreStream:
+    """explore writes each block's lines as the block finishes, with the reference's bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 777, 10**40])
+    @pytest.mark.parametrize(
+        "mode, n, band, trials",
+        [(mode, 24, 4, 200) for mode in ("mixed", "generic", "symmetrized", "constant", "unitary")]
+        + [("mixed", 4096, 8, 40), ("mixed", 2, 1, 30), ("mixed", 300, 299, 20)]
+        + [("unitary", 16, 4, 6)],
+    )
+    def test_output_equals_the_library_reference(self, mode, n, band, trials, seed, tmp_path,
+                                                 capsys):
+        out_path = tmp_path / "records.jsonl"
+        argv = ["explore", "--mode", mode, "--n", str(n), "--band", str(band),
+                "--trials", str(trials), "--seed", str(seed), "--out", str(out_path)]
+        code, out, err = run(argv, capsys)
+        text, report = rebuilt_explore(trials, n, band, seed, mode, out_path)
+        shown = stdout_json(out)
+        assert shown.pop("runtime_ms") >= 0
+        assert out_path.read_text() == text
+        assert shown == report
+        assert code == (0 if report["results"]["onesided_disagreements"] == 0 else 1)
+        assert err == ""
+
+    def test_memory_does_not_grow_with_the_trials(self, tmp_path, capsys):
+        # at N = 4096 a block holds 16 trials and its lines are written as it
+        # finishes, so ten times the trials peak no higher, but for the
+        # summary's list of disagreeing trials
+        def peak(trials):
+            argv = ["explore", "--n", "4096", "--band", "8", "--trials", str(trials),
+                    "--seed", "5", "--out", str(tmp_path / "r.jsonl")]
+            tracemalloc.start()
+            try:
+                assert run(argv, capsys)[0] in (0, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # the parser and the hash schedule are built once per process
+        base, tenfold = peak(80), peak(800)
+        assert tenfold <= 1.1 * base, (base, tenfold)
+        assert tenfold - base < 64 * 720, (base, tenfold)
+
+
+class TestRefusedOutput:
+    """A report that cannot be written exits 2 with one error line and leaves no --out file."""
+
+    def test_check_symmetry_overflow(self, tmp_path, capsys, recwarn):
+        symbol = tmp_path / "sym.json"
+        symbol.write_text(json.dumps({
+            "schema_version": 1,
+            "band": 1,
+            "coeffs": [{"n": -1, "re": 1e308}, {"n": 1, "re": -1e308}],
+        }))
+        out_path = tmp_path / "o.json"
+        code, out, err = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", '{"kind":"j"}',
+             "--n", "4", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: Out of range float values are not JSON compliant")
+        assert out == ""
+        assert not out_path.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_explore_removes_its_partial_file(self, tmp_path, capsys, recwarn, monkeypatch):
+        # trials from 20 on overflow: the first block of 16 is written before
+        # the second is refused
+        draws = hardyconj.toeplitz._block_draws
+
+        def overflowing(trials, *args):
+            modes, zetas, w, coeffs = draws(trials, *args)
+            late = np.array([t >= 20 for t in trials])
+            coeffs[late, 0], coeffs[late, -1] = 1e308, -1e308
+            return modes, zetas, w, coeffs
+
+        monkeypatch.setattr(hardyconj.toeplitz, "_block_draws", overflowing)
+        out_path = tmp_path / "records.jsonl"
+        code, out, err = run(
+            ["explore", "--n", "4096", "--band", "8", "--trials", "40", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: Out of range float values are not JSON compliant")
+        assert out == ""
+        assert not out_path.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestLargeSections:

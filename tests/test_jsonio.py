@@ -4,9 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hardyconj.toeplitz
 from hardyconj import (
+    EXPLORE_MODES,
+    ExplorationRecord,
     LaurentSymbol,
+    SymmetryReport,
     canonical_conjugation,
     explore_symmetry,
     generate_symmetric_symbol,
@@ -16,6 +22,7 @@ from hardyconj import (
     verify_conjugation,
 )
 from hardyconj.jsonio import (
+    _record_lines,
     canonical_json,
     cert_to_json,
     conjugation_from_spec,
@@ -269,6 +276,14 @@ class TestCanonicalJson:
             line = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
             assert canonical_json(doc) == pretty + "\n"
             assert json_line(doc) == line + "\n"
+        # explore's record lines, written from block columns without the dicts
+        for mode in ("mixed", "unitary"):
+            block = hardyconj.toeplitz._run_block(range(9), 16, 3, 5, mode, 1e-10)
+            lines = [
+                json.dumps(record_to_json(r), sort_keys=True, separators=(",", ":"), allow_nan=False)
+                for r in explore_symmetry(9, 16, 3, seed=5, mode=mode)
+            ]
+            assert _record_lines(block) == "".join(line + "\n" for line in lines)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -279,3 +294,62 @@ class TestCanonicalJson:
     def test_both_encoders_reject_non_finite_numbers(self, emit, value):
         with pytest.raises(ValueError):
             emit({"x": [1.0, value]})
+
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-308, 1.7976931348623157e308]
+)
+INDICES = st.integers(0, 10**40) | st.sampled_from([2**32, 2**64 + 1, 10**40])
+#: one-sided and entrywise values with their verdicts and agree, or None for a dense map
+CRITERIA = st.none() | st.tuples(FLOATS, FLOATS, st.booleans(), st.booleans(), st.booleans())
+ROW = st.tuples(INDICES, st.sampled_from(EXPLORE_MODES[1:]), FLOATS, st.booleans(), CRITERIA)
+
+
+def explore_block(seed, tol, rows):
+    """An explore block of rows (trial, mode, residual, residual holds, criteria)."""
+    trials, modes, residual, holds, criteria = map(list, zip(*rows))
+    onesided, entrywise, onesided_holds, entrywise_holds, agree = map(
+        list, zip(*(c or (None,) * 5 for c in criteria))
+    )
+    return hardyconj.toeplitz._Block(
+        tol, residual, onesided, entrywise, holds, onesided_holds, entrywise_holds, agree,
+        trials=trials, modes=modes, seed=seed,
+    )
+
+
+def reference_lines(block):
+    """``json_line(record_to_json(r))`` of the records the block's columns describe."""
+    b = block
+    rows = zip(b.trials, b.modes, b.residual, b.onesided_holds, b.onesided, b.agree,
+               b.entrywise_holds, b.entrywise)
+    return "".join(
+        json_line(record_to_json(ExplorationRecord(t, (b.seed, t), m, SymmetryReport(
+            r, oh, o, a, b.tol, eh, e
+        ))))
+        for t, m, r, oh, o, a, eh, e in rows
+    )
+
+
+class TestRecordLines:
+    """explore's fixed-layout encoder writes exactly the reference's bytes."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=INDICES, tol=FLOATS, rows=st.lists(ROW, min_size=1, max_size=6))
+    def test_bytes_equal_the_reference(self, seed, tol, rows):
+        block = explore_block(seed, tol, rows)
+        assert _record_lines(block) == reference_lines(block)
+
+    @pytest.mark.parametrize("column", ["tol", "residual", "onesided", "entrywise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_raise_as_in_json_line(self, column, value):
+        row = (0, "generic", 0.5, False, (0.25, 0.125, False, False, True))
+        block = explore_block(3, 1e-10, [row, row])
+        if column == "tol":
+            block = block._replace(tol=value)
+        else:
+            getattr(block, column)[1] = value
+        with pytest.raises(ValueError):
+            reference_lines(block)
+        with pytest.raises(ValueError):
+            _record_lines(block)

@@ -13,6 +13,7 @@ from hardyconj import (
     AntilinearMap,
     ExplorationRecord,
     LaurentSymbol,
+    SymmetryReport,
     canonical_conjugation,
     conjugation_from_unitary,
     diagonal_multipliers,
@@ -675,6 +676,43 @@ class TestExploration:
         assert summary["onesided_checked"] == 0
         assert summary["onesided_disagreements"] == 0
 
+    def test_summary_of_hand_made_records(self):
+        # every summary field from reports whose verdicts are given, not computed:
+        # a dense trial, a disagreement, an entrywise mismatch and two holding trials
+        def record(trial, residual, onesided=None, entrywise=None, agree=None):
+            report = SymmetryReport(residual, onesided, 0.0, agree, 1e-10, entrywise, 0.0)
+            return ExplorationRecord(trial, (3, trial), "generic", report)
+
+        records = [
+            record(0, 0.5),
+            record(1, 0.5, onesided=True, entrywise=False, agree=False),
+            record(2, 1e-12, onesided=False, entrywise=False, agree=False),
+            record(3, 2e-11, onesided=True, entrywise=True, agree=True),
+            record(4, 1e-11, onesided=True, entrywise=True, agree=True),
+        ]
+        assert summarize_exploration(records) == {
+            "trials": 5,
+            "onesided_checked": 4,
+            "onesided_agreements": 2,
+            "onesided_disagreements": 2,
+            "disagreement_trials": [1, 2],
+            "entrywise_mismatch_trials": [2],
+            "max_residual_when_condition_holds": 0.5,
+        }
+
+    def test_verdicts_hold_at_tol(self):
+        # each verdict is value <= tol, so a tolerance equal to a value holds
+        rng = np.random.default_rng(23)
+        op = sequence_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 15)))
+        symbol = random_symbol(3, rng)
+        report = symmetry_report(op, symbol, 16)
+        at = symmetry_report(op, symbol, 16, tol=report.max_coeff_violation)
+        assert at.coeff_condition_holds and at.agree == (report.residual <= at.tol)
+        assert symmetry_report(op, symbol, 16, tol=report.entrywise_violation).entrywise_holds
+        assert symmetry_report(op, symbol, 16, tol=report.residual).agree == (
+            report.max_coeff_violation <= report.residual
+        )
+
     def test_mixed_mode_cycles_styles(self):
         records = explore_symmetry(6, 12, 2, seed=19, mode="mixed")
         assert [r.mode for r in records] == [
@@ -730,7 +768,7 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
     with ``rng.uniform`` and forms its sequence with ``np.exp`` of them
     (``np.full`` of one value when constant), and its symbol as
     ``1.0 * raw / (1 + |n|)``, or its one-sided half damped in place; the
-    halves are then completed and every trial checked as one stack.
+    halves are then completed and each trial checked alone.
     """
     modes, zetas, symbols = [], [], []
     for trial in trials:
@@ -758,11 +796,10 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
         completed[:, band] = half[:, 0]
         for i, c in zip(halves, completed):
             symbols[i] = LaurentSymbol(band, c)
-    coeffs = np.stack([s.coeffs for s in symbols])
-    reports = hardyconj.toeplitz._diagonal_reports(np.conj(w), coeffs, tol)
+    ops = map(AntilinearMap, np.conj(w))
     records = [
-        ExplorationRecord(trial, (seed, trial), resolved, report)
-        for trial, resolved, report in zip(trials, modes, reports)
+        ExplorationRecord(trial, (seed, trial), resolved, symmetry_report(op, symbol, dim, tol))
+        for trial, resolved, op, symbol in zip(trials, modes, ops, symbols)
     ]
     return records, list(zip(zetas, symbols))
 
@@ -937,7 +974,8 @@ class TestTrialSeeding:
     def test_large_seeds_and_trials_replay(self):
         trials, seed = [0, 2**32 - 1, 2**32, 2**64 + 1], 10**40
         reference, draws = per_trial_records(trials, 24, 4, seed, "mixed")
-        records = hardyconj.toeplitz._run_block(trials, 24, 4, seed, "mixed", reference[0].report.tol)
+        block = hardyconj.toeplitz._run_block(trials, 24, 4, seed, "mixed", reference[0].report.tol)
+        records = hardyconj.toeplitz._records(block)
         _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
         for i, t in enumerate(trials):
             same_record(records[i], reference[i])
