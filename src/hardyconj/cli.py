@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -90,6 +91,23 @@ def _emit_report(report: dict, out, started: float) -> None:
     sys.stdout.write(jsonio.canonical_json(shown))
 
 
+def _quiet_overflow(handler):
+    """``handler`` with numpy's RuntimeWarnings ignored while it runs.
+
+    For the commands whose reports carry computed floats: an overflow shows
+    as a non-finite value, which the report refuses with the one error
+    line, and numpy's warnings would come before it.
+    """
+
+    @functools.wraps(handler)
+    def run(args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return handler(args)
+
+    return run
+
+
 def _conjugation_spec_from_args(args) -> dict:
     spec = {"kind": args.kind}
     if args.kind == "lambda":
@@ -129,6 +147,7 @@ def _cmd_check_conjugation(args) -> int:
     return EXIT_OK if cert.passed else EXIT_NEGATIVE
 
 
+@_quiet_overflow
 def _cmd_check_symmetry(args) -> int:
     started = time.perf_counter()
     spec = _json_arg(args.conjugation)
@@ -189,6 +208,7 @@ def _cmd_gen_symbol(args) -> int:
     return EXIT_OK
 
 
+@_quiet_overflow
 def _cmd_explore(args) -> int:
     started = time.perf_counter()
     if not args.n > args.band >= 1:
@@ -202,15 +222,23 @@ def _cmd_explore(args) -> int:
         "mode": args.mode,
         "tol": args.tol,
     }
+    # the first block runs and is encoded before --out is opened, so an
+    # error there (a negative seed, a size numpy refuses) leaves a file
+    # already at --out as it was
+    first = next(blocks)
+    head = jsonio._record_lines(first)
     # each block's lines are written as the block finishes; the last line
     # carries the inputs so the file replays alone, and no path, so the
     # same run written elsewhere gives the same bytes
+    fh = open(args.out, "w", encoding="utf-8")
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            summary = _summarize_blocks(_written(blocks, fh))
+        with fh:
+            fh.write(head)
+            summary = _summarize_blocks(itertools.chain([first], _written(blocks, fh)))
             fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
     except BaseException:
-        # a failed run leaves no partial file; a device or pipe is left alone
+        # a run that fails once --out is open leaves no partial file; a
+        # device or pipe is left alone
         if os.path.isfile(args.out):
             os.remove(args.out)
         raise
@@ -318,11 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        # an overflow shows as a non-finite value, which the report refuses
-        # with the one error line; numpy's RuntimeWarning would come first
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return args.handler(args)
+        return args.handler(args)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         # MemoryError: a size numpy refuses outright, such as a huge --n
         print(f"error: {exc}", file=sys.stderr)

@@ -243,6 +243,7 @@ def cert_to_json(cert: ConjugationCert) -> dict:
 
 
 def report_to_json(report: SymmetryReport) -> dict:
+    # _record_lines writes these keys from a fixed template: keep it in step
     return {
         "residual": float(report.residual),
         "coeff_condition_holds": report.coeff_condition_holds,

@@ -819,6 +819,53 @@ class TestRefusedOutput:
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+    @pytest.mark.parametrize("mode", ["mixed", "unitary"])
+    def test_explore_usage_error_leaves_an_existing_file(self, mode, tmp_path, capsys):
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"kept\n")
+        argv = ["explore", "--mode", mode, "--seed", "-1", "--n", "8", "--band", "2",
+                "--out", str(out_path)]
+        assert run(argv, capsys)[0] == 2
+        assert out_path.read_bytes() == b"kept\n"
+
+    def test_explore_first_block_error_leaves_an_existing_file(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def refused(*args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(hardyconj.toeplitz, "_block_draws", refused)
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"kept\n")
+        code, out, err = run(["explore", "--out", str(out_path)], capsys)
+        assert (code, out, err) == (2, "", "error: Unable to allocate\n")
+        assert out_path.read_bytes() == b"kept\n"
+
+    def test_explore_out_that_cannot_be_opened_is_not_removed(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def unwritable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", unwritable, raising=False)
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"kept\n")
+        code, _, err = run(["explore", "--trials", "3", "--out", str(out_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: [Errno 13] Permission denied")
+        assert out_path.read_bytes() == b"kept\n"
+
+    def test_check_conjugation_keeps_numpys_warnings(self, capsys, monkeypatch):
+        # only commands whose reports carry computed floats ignore them
+        verify = cli.verify_conjugation
+
+        def warning(*args, **kwargs):
+            np.float64(1e308) * 10
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_conjugation", warning)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run(["check-conjugation", "--kind", "j", "--n", "4"], capsys)[0] == 0
+
+
 class TestLargeSections:
     """Diagonal maps at N = 4096, where one dense N x N product would need 256 MB."""
 

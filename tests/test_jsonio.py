@@ -340,6 +340,19 @@ class TestRecordLines:
         block = explore_block(seed, tol, rows)
         assert _record_lines(block) == reference_lines(block)
 
+    def test_template_keys_are_the_reference_keys(self):
+        # a field added to or renamed in record_to_json or report_to_json
+        # fails here by name, before any byte comparison
+        def keys(obj):
+            return {k: keys(v) for k, v in obj.items()} if isinstance(obj, dict) else None
+
+        (record,) = explore_symmetry(1, 8, 2, seed=1, mode="generic")
+        line = _record_lines(hardyconj.toeplitz._run_block(range(1), 8, 2, 1, "generic", 1e-10))
+        pairs = json.loads(line, object_pairs_hook=list)
+        assert [k for k, _ in pairs] == sorted(record_to_json(record))
+        assert [k for k, _ in dict(pairs)["report"]] == sorted(report_to_json(record.report))
+        assert keys(json.loads(line)) == keys(record_to_json(record))
+
     @pytest.mark.parametrize("column", ["tol", "residual", "onesided", "entrywise"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_raise_as_in_json_line(self, column, value):
