@@ -175,6 +175,7 @@ def _cmd_check_symmetry(args) -> int:
     return EXIT_OK if result.residual <= args.tol else EXIT_NEGATIVE
 
 
+@_quiet_overflow
 def _cmd_gen_symbol(args) -> int:
     started = time.perf_counter()
     # each flag's JSON as given, None where the flag is absent; the report echoes it

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _STACK_ENTRIES, AntilinearMap, adjoint, apply_antilinear, frobenius_norm
+from .core import _STACK_ENTRIES, AntilinearMap, apply_antilinear, frobenius_norm
 
 __all__ = [
     "ConjugationCert",
@@ -41,6 +41,13 @@ __all__ = [
 #: algebra, not input noise.
 UNIMODULAR_TOL = 1e-12
 
+#: Largest ||U*U - I||_F that :func:`conjugation_from_unitary` accepts.
+_UNITARY_TOL = 1e-8
+
+#: Largest off-diagonal Frobenius norm, and largest deviation of |d_n| from
+#: one, that :func:`factor_diagonal` accepts.
+_FACTOR_TOL = 1e-10
+
 #: Exponents below this limit are the range in which numpy's complex power
 #: multiplies repeatedly; from it on numpy calls libm ``cpow``.
 _REPEATED_POWER_LIMIT = 100
@@ -51,8 +58,8 @@ _REPEATED_POWER_LIMIT = 100
 _ANGLE_GRID = 2.0**-24
 
 
-def unimodular(values, tol: float = UNIMODULAR_TOL, start_index: int = 0) -> np.ndarray:
-    """Check every entry has modulus 1 within ``tol``, then renormalize.
+def unimodular(values, start_index: int = 0) -> np.ndarray:
+    """Check every entry has modulus 1 within ``UNIMODULAR_TOL``, then renormalize.
 
     ``start_index`` sets the index reported in the error message; the
     squared-sequence family is conventionally indexed from 1.
@@ -60,18 +67,18 @@ def unimodular(values, tol: float = UNIMODULAR_TOL, start_index: int = 0) -> np.
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {v.shape}")
-    return _unimodular_rows(v, tol, start_index)
+    return _unimodular_rows(v, start_index)
 
 
-def _unimodular_rows(v: np.ndarray, tol: float, start_index: int) -> np.ndarray:
+def _unimodular_rows(v: np.ndarray, start_index: int) -> np.ndarray:
     """:func:`unimodular` on every row of a complex stack, indices along the last axis."""
     mod = np.abs(v)
-    bad = np.argwhere(~np.isfinite(mod) | (np.abs(mod - 1.0) > tol))
+    bad = np.argwhere(~np.isfinite(mod) | (np.abs(mod - 1.0) > UNIMODULAR_TOL))
     if bad.size:
         k = tuple(bad[0])
         raise ValueError(
             f"entry at index {k[-1] + start_index} has modulus {mod[k]:.12g}, "
-            f"expected 1 within {tol:g}"
+            f"expected 1 within {UNIMODULAR_TOL:g}"
         )
     return v / mod
 
@@ -240,37 +247,40 @@ class NotUnitaryError(ValueError):
         )
 
 
-def conjugation_from_unitary(u, tol: float = 1e-8) -> AntilinearMap:
+def conjugation_from_unitary(u) -> AntilinearMap:
     """Conjugation U* . conj . U for a unitary U; the linear factor is U^H conj(U).
 
     Every conjugation on the full space arises this way, and the factor
-    U^H conj(U) is automatically unitary and transpose-symmetric.
+    U^H conj(U) is automatically unitary and transpose-symmetric. A ``u``
+    with ||U*U - I||_F above ``_UNITARY_TOL`` (1e-8) raises
+    :class:`NotUnitaryError`.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    residual = frobenius_norm(adjoint(u) @ u - np.eye(u.shape[0]))
-    if residual > tol:
-        raise NotUnitaryError(residual, tol)
-    return AntilinearMap(adjoint(u) @ np.conj(u))
+    residual = frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    if residual > _UNITARY_TOL:
+        raise NotUnitaryError(residual, _UNITARY_TOL)
+    return AntilinearMap(u.conj().T @ np.conj(u))
 
 
-def factor_diagonal(op: AntilinearMap, tol: float = 1e-10) -> np.ndarray:
+def factor_diagonal(op: AntilinearMap) -> np.ndarray:
     """Diagonal unitary U with conjugation_from_unitary(U) equal to ``op``.
 
     Requires the linear factor of ``op`` to be diagonal with unimodular
-    entries within ``tol``. Each U entry is the principal square root of
-    the conjugated diagonal entry; any other branch choice differs by a
-    sign and produces the same conjugation. A stored diagonal is read as is.
+    entries, both within ``_FACTOR_TOL`` (1e-10). Each U entry is the
+    principal square root of the conjugated diagonal entry; any other
+    branch choice differs by a sign and produces the same conjugation. A
+    stored diagonal is read as is.
     """
     d = op.diagonal
     if d is None:
         a = op.a_matrix
         d = np.diag(a)
         off = frobenius_norm(a - np.diag(d))
-        if off > tol:
+        if off > _FACTOR_TOL:
             raise ValueError(f"linear factor is not diagonal: off-diagonal norm {off:.3e}")
-    if np.max(np.abs(np.abs(d) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(d) - 1.0)) > _FACTOR_TOL:
         raise ValueError("diagonal entries are not unimodular")
     return np.diag(np.sqrt(np.conj(d / np.abs(d))))
 
@@ -367,7 +377,7 @@ def verify_conjugation(
     d = op.diagonal
     if d is None:
         a = op.factor
-        a_unitarity = _residual(frobenius_norm(adjoint(a) @ a - np.eye(n)))
+        a_unitarity = _residual(frobenius_norm(a.conj().T @ a - np.eye(n)))
         a_symmetry = frobenius_norm(a - a.T)
     else:
         # a diagonal A is symmetric, and A*A - I is diagonal with entries |d|^2 - 1

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "AntilinearMap",
-    "adjoint",
     "apply_antilinear",
     "as_operator",
     "frobenius_norm",
@@ -111,11 +110,6 @@ def apply_antilinear(op: AntilinearMap, f) -> np.ndarray:
     if d is not None:
         return d * np.conj(f)
     return op.factor @ np.conj(f) if f.ndim == 1 else np.conj(f) @ op.factor.T
-
-
-def adjoint(matrix) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(matrix, dtype=np.complex128)).T
 
 
 def frobenius_norm(matrix) -> float:

@@ -32,7 +32,6 @@ __all__ = [
     "canonical_json",
     "cert_to_json",
     "conjugation_from_spec",
-    "emit_complex",
     "json_line",
     "load_symbol",
     "parse_complex",
@@ -91,11 +90,6 @@ def parse_complex(obj) -> complex:
             f"complex value must have keys re/im or theta, got {sorted(keys)}"
         )
     return complex(_json_number(obj, "complex value"))
-
-
-def emit_complex(z) -> dict:
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
 
 
 def _json_list(value, key: str) -> list:
@@ -215,9 +209,6 @@ def symbol_from_json(data, max_band: int | None = None) -> LaurentSymbol:
     if max_band is not None and band > max_band:
         raise ValueError(f"band {band} exceeds the largest allowed band {max_band}")
     pairs = parse_indexed_coefficients(data.get("coeffs", []), "coeffs")
-    for n in pairs:
-        if abs(n) > band:
-            raise ValueError(f"coefficient index {n} exceeds band {band}")
     return LaurentSymbol.from_pairs(pairs, band=band)
 
 

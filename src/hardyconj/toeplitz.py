@@ -52,7 +52,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .conjugations import (
-    UNIMODULAR_TOL,
     _complex_gaussian,
     _unimodular_rows,
     conjugation_from_unitary,
@@ -156,20 +155,20 @@ def _index(n) -> int:
         raise ValueError(f"coefficient index {n!r} is not an integer") from None
 
 
-def random_symbol(band: int, rng: np.random.Generator, scale: float = 1.0) -> LaurentSymbol:
+def random_symbol(band: int, rng: np.random.Generator) -> LaurentSymbol:
     """Random symbol with complex Gaussian coefficients damped by 1/(1+|n|).
 
     The decay mimics a smooth symbol and keeps residual magnitudes
     comparable across random trials.
     """
     raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
-    return LaurentSymbol(band, _damped(raw, scale))
+    return LaurentSymbol(band, _damped(raw))
 
 
-def _damped(raw: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """``scale * raw / (1 + |n|)`` along the last axis, which holds n = -band .. band."""
+def _damped(raw: np.ndarray) -> np.ndarray:
+    """``raw / (1 + |n|)`` along the last axis, which holds n = -band .. band."""
     band = raw.shape[-1] // 2
-    return scale * raw / (1.0 + np.abs(np.arange(-band, band + 1)))
+    return raw / (1.0 + np.abs(np.arange(-band, band + 1)))
 
 
 def evaluate_on_grid(symbol: LaurentSymbol, num_points: int) -> np.ndarray:
@@ -551,19 +550,12 @@ def symmetry_report(
     if op.diagonal is None:
         residual = np.array([symmetry_residual(op, toeplitz_section(symbol, dim))])
         return _reports(_columns(tol, residual))[0]
-    d = _section_diagonal(op, dim)
-    return _reports(_columns(tol, *_diagonal_criteria(d[None], symbol.coeffs[None])))[0]
-
-
-def _diagonal_criteria(d: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """(residual, one-sided, entrywise) of each row of diagonals (k, dim) and symbols (k, 2M + 1).
-
-    The whole stack goes through :func:`_offset_criteria` once; needs M <= dim - 1.
-    """
+    d = _section_diagonal(op, dim)[None]
     w = _multipliers(d)
-    band = coeffs.shape[1] // 2
-    one, ent, res = _offset_criteria(coeffs, onesided=w[:, : band + 1], entrywise=w, diagonal=d)
-    return res, one, ent
+    one, ent, res = _offset_criteria(
+        symbol.coeffs[None], onesided=w[:, : symbol.band + 1], entrywise=w, diagonal=d
+    )
+    return _reports(_columns(tol, res, one, ent))[0]
 
 
 class _Block(NamedTuple):
@@ -820,7 +812,7 @@ def _block_draws(trials, dim: int, band: int, seed: int, mode: str) -> tuple:
 
     zetas = np.exp(1j * angles)
     # the multipliers of sequence_conjugation(zeta), unimodular check included
-    w = squared_powers(_unimodular_rows(zetas, UNIMODULAR_TOL, 1))
+    w = squared_powers(_unimodular_rows(zetas, 1))
     coeffs = np.empty((len(modes), 2 * band + 1), dtype=np.complex128)
     coeffs[generic] = _damped(full_draws[:, 0] + 1j * full_draws[:, 1])
     # c(0) and c(n) = raw_n / (1 + n) for n >= 1, completed to the negative side
@@ -836,10 +828,11 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
     """The columns of ``trials``, checked as one stack in a diagonal mode.
 
     A diagonal block draws through :func:`_block_draws` and goes through
-    the offset kernel once; a ``unitary`` trial is drawn and checked on its
-    own, and has no criteria. The block's stacks are freed on return: the
-    columns hold Python values only, and every consumer (records, report
-    lines, summary) reads its verdicts from them.
+    the offset kernel once, with the drawn multipliers w as they are and
+    conj(w) as the diagonal; a ``unitary`` trial is drawn and checked on
+    its own, and has no criteria. The block's stacks are freed on return:
+    the columns hold Python values only, and every consumer (records,
+    report lines, summary) reads its verdicts from them.
     """
     if mode == "unitary":
         residual = []
@@ -850,8 +843,10 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
         modes = [mode] * len(trials)
         return _columns(tol, np.array(residual), trials=trials, modes=modes, seed=seed)
     modes, _, w, coeffs = _block_draws(trials, dim, band, seed, mode)
-    values = _diagonal_criteria(np.conj(w), coeffs)
-    return _columns(tol, *values, trials=trials, modes=modes, seed=seed)
+    one, ent, res = _offset_criteria(
+        coeffs, onesided=w[:, : band + 1], entrywise=w, diagonal=np.conj(w)
+    )
+    return _columns(tol, res, one, ent, trials=trials, modes=modes, seed=seed)
 
 
 def _records(block: _Block) -> list[ExplorationRecord]:

@@ -818,6 +818,20 @@ class TestRefusedOutput:
         assert not out_path.exists()
         assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_gen_symbol_overflow(self, tmp_path, capsys, recwarn):
+        # the completed c(-1) = c(1) * w_1 overflows to a non-finite entry
+        out_path = tmp_path / "sym.json"
+        code, out, err = run(
+            ["gen-symbol", "--onesided", '[{"n":1,"re":1.7e308,"im":-1.7e308}]',
+             "--sequence", '{"constant":{"theta":0.39}}', "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: symbol coefficients contain non-finite entries\n"
+        assert out == ""
+        assert not out_path.exists()
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
 
     @pytest.mark.parametrize("mode", ["mixed", "unitary"])
     def test_explore_usage_error_leaves_an_existing_file(self, mode, tmp_path, capsys):

@@ -9,7 +9,6 @@ import hardyconj.core
 import hardyconj.toeplitz
 from hardyconj import (
     AntilinearMap,
-    adjoint,
     apply_antilinear,
     as_operator,
     frobenius_norm,
@@ -99,28 +98,6 @@ class TestApplyAntilinear:
             rhs = np.conj(a) * op(f) + np.conj(b) * op(g)
             bound = 1e-10 * (np.linalg.norm(f) + np.linalg.norm(g))
             assert np.linalg.norm(lhs - rhs) <= bound
-
-
-class TestAdjoint:
-    def test_identity(self):
-        np.testing.assert_allclose(adjoint(np.eye(2)), np.eye(2))
-
-    def test_diagonal_conjugates(self):
-        np.testing.assert_allclose(adjoint(np.diag([1j, 1j])), np.diag([-1j, -1j]))
-
-    def test_shift_adjoint(self):
-        np.testing.assert_allclose(adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
-
-    def test_pairing_identity(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            t = random_matrix(rng, 12)
-            f = random_vector(rng, 12)
-            g = random_vector(rng, 12)
-            lhs = inner_product(t @ f, g)
-            rhs = inner_product(f, adjoint(t) @ g)
-            bound = 1e-10 * frobenius_norm(t) * np.linalg.norm(f) * np.linalg.norm(g)
-            assert abs(lhs - rhs) <= bound
 
 
 class TestFrobeniusNorm:

@@ -459,6 +459,11 @@ class TestSymmetryReport:
         with pytest.raises(ValueError, match="band"):
             symmetry_report(canonical_conjugation(4), sym, 4)
 
+    def test_non_unimodular_diagonal_rejected(self):
+        sym = LaurentSymbol.from_pairs({-1: 1.0, 1: 1.0})
+        with pytest.raises(ValueError, match="diagonal entries are not unimodular"):
+            symmetry_report(AntilinearMap(2.0 * np.ones(8)), sym, 8)
+
     def test_dense_conjugation_reports_residual_only(self):
         rng = np.random.default_rng(97)
         sym = random_symbol(2, rng)
@@ -575,8 +580,9 @@ class TestDiagonalMultipliers:
                 diagonal_multipliers(AntilinearMap(op.a_matrix))
 
     def test_rejects_non_unimodular_vector(self):
-        with pytest.raises(ValueError, match="unimodular"):
-            diagonal_multipliers(AntilinearMap(np.array([1.0, 2.0])))
+        for d in ([1.0, 2.0], [1.0, 1.0 + 1e-6]):
+            with pytest.raises(ValueError, match="diagonal entries are not unimodular"):
+                diagonal_multipliers(AntilinearMap(np.array(d)))
 
     def test_rotation_condition_equals_power_form(self):
         rng = np.random.default_rng(107)
