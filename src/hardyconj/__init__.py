@@ -2,100 +2,11 @@
 symmetric Toeplitz finite sections, with numerical certification of every
 construction against an operator-residual oracle."""
 
-from .core import (
-    AntilinearMap,
-    apply_antilinear,
-    as_operator,
-    frobenius_norm,
-    inner_product,
-)
-from .conjugations import (
-    ConjugationCert,
-    NotUnitaryError,
-    canonical_conjugation,
-    conjugation_from_unitary,
-    factor_diagonal,
-    phase_conjugation,
-    random_unitary,
-    rotation_conjugation,
-    sequence_conjugation,
-    sequence_unitary,
-    squared_powers,
-    unimodular,
-    verify_conjugation,
-)
-from .toeplitz import (
-    EXPLORE_MODES,
-    ConditionReport,
-    ExplorationRecord,
-    LaurentSymbol,
-    SymmetryReport,
-    diagonal_multipliers,
-    diagonal_residual,
-    entrywise_condition,
-    evaluate_on_grid,
-    explore_symmetry,
-    fourier_coefficients,
-    generate_symmetric_symbol,
-    multiply_truncate,
-    onesided_condition,
-    random_symbol,
-    rotation_condition,
-    run_trial,
-    sequence_condition,
-    sequence_entrywise_condition,
-    sequence_multipliers,
-    summarize_exploration,
-    symmetry_report,
-    symmetry_residual,
-    toeplitz_section,
-    trial_draws,
-)
+from . import conjugations, core, toeplitz
+from .conjugations import *  # noqa: F403
+from .core import *  # noqa: F403
+from .toeplitz import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntilinearMap",
-    "ConditionReport",
-    "ConjugationCert",
-    "EXPLORE_MODES",
-    "ExplorationRecord",
-    "LaurentSymbol",
-    "NotUnitaryError",
-    "SymmetryReport",
-    "apply_antilinear",
-    "as_operator",
-    "canonical_conjugation",
-    "conjugation_from_unitary",
-    "diagonal_multipliers",
-    "diagonal_residual",
-    "entrywise_condition",
-    "evaluate_on_grid",
-    "explore_symmetry",
-    "factor_diagonal",
-    "fourier_coefficients",
-    "frobenius_norm",
-    "generate_symmetric_symbol",
-    "inner_product",
-    "multiply_truncate",
-    "onesided_condition",
-    "phase_conjugation",
-    "random_symbol",
-    "random_unitary",
-    "rotation_condition",
-    "rotation_conjugation",
-    "run_trial",
-    "sequence_condition",
-    "sequence_conjugation",
-    "sequence_entrywise_condition",
-    "sequence_multipliers",
-    "sequence_unitary",
-    "squared_powers",
-    "summarize_exploration",
-    "symmetry_report",
-    "symmetry_residual",
-    "toeplitz_section",
-    "trial_draws",
-    "unimodular",
-    "verify_conjugation",
-]
+__all__ = core.__all__ + conjugations.__all__ + toeplitz.__all__

@@ -27,6 +27,7 @@ import warnings
 
 from . import jsonio
 from .conjugations import verify_conjugation
+from .core import DEFAULT_TOL
 from .toeplitz import (
     EXPLORE_MODES,
     _explore_blocks,
@@ -41,6 +42,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+#: The commands whose report is also their --out file; gen-symbol and
+#: explore write their own artifact there and print the report only.
+_REPORT_TO_OUT = ("check-conjugation", "check-symmetry")
+
 #: Largest one-sided index gen-symbol accepts. A constant sequence has no
 #: length of its own, so this bounds the 2 * band + 1 coefficients the
 #: command would allocate and write; it is checked before any allocation.
@@ -51,9 +56,9 @@ def _json_arg(text: str):
     """Parse an inline JSON argument, or @path to read it from a file."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return jsonio._decode(fh.read())
     try:
-        return json.loads(text)
+        return jsonio._decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON argument {text!r}: {exc}") from exc
 
@@ -111,6 +116,8 @@ def _quiet_overflow(handler):
 def _conjugation_spec_from_args(args) -> dict:
     spec = {"kind": args.kind}
     if args.kind == "lambda":
+        if args.value is not None and args.theta is not None:
+            raise ValueError('kind "lambda" takes --theta or --value, not both')
         if args.value is not None:
             spec["value"] = _json_arg(args.value)
         elif args.theta is not None:
@@ -126,30 +133,22 @@ def _conjugation_spec_from_args(args) -> dict:
     return spec
 
 
-def _cmd_check_conjugation(args) -> int:
-    started = time.perf_counter()
+def _cmd_check_conjugation(args) -> tuple[dict, dict, bool]:
     spec = _conjugation_spec_from_args(args)
     op = jsonio.conjugation_from_spec(spec, args.n)
     cert = verify_conjugation(op, trials=args.trials, tol=args.tol, seed=args.seed)
-    report = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "command": "check-conjugation",
-        "inputs": {
-            "conjugation": spec,
-            "n": args.n,
-            "tol": args.tol,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "results": jsonio.cert_to_json(cert),
+    inputs = {
+        "conjugation": spec,
+        "n": args.n,
+        "tol": args.tol,
+        "trials": args.trials,
+        "seed": args.seed,
     }
-    _emit_report(report, args.out, started)
-    return EXIT_OK if cert.passed else EXIT_NEGATIVE
+    return inputs, jsonio.cert_to_json(cert), cert.passed
 
 
 @_quiet_overflow
-def _cmd_check_symmetry(args) -> int:
-    started = time.perf_counter()
+def _cmd_check_symmetry(args) -> tuple[dict, dict, bool]:
     spec = _json_arg(args.conjugation)
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in jsonio.DIAGONAL_KINDS:
@@ -160,24 +159,17 @@ def _cmd_check_symmetry(args) -> int:
     symbol = jsonio.load_symbol(args.symbol, max_band=args.n - 1)
     op = jsonio.conjugation_from_spec(spec, args.n)
     result = symmetry_report(op, symbol, args.n, tol=args.tol)
-    report = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "command": "check-symmetry",
-        "inputs": {
-            "symbol": jsonio.symbol_to_json(symbol),
-            "conjugation": spec,
-            "n": args.n,
-            "tol": args.tol,
-        },
-        "results": jsonio.report_to_json(result),
+    inputs = {
+        "symbol": jsonio.symbol_to_json(symbol),
+        "conjugation": spec,
+        "n": args.n,
+        "tol": args.tol,
     }
-    _emit_report(report, args.out, started)
-    return EXIT_OK if result.residual <= args.tol else EXIT_NEGATIVE
+    return inputs, jsonio.report_to_json(result), result.residual <= args.tol
 
 
 @_quiet_overflow
-def _cmd_gen_symbol(args) -> int:
-    started = time.perf_counter()
+def _cmd_gen_symbol(args) -> tuple[dict, dict, bool]:
     # each flag's JSON as given, None where the flag is absent; the report echoes it
     given = {
         "onesided": _json_arg(args.onesided) if args.onesided else None,
@@ -197,21 +189,13 @@ def _cmd_gen_symbol(args) -> int:
     if args.sequence:
         zeta = jsonio.parse_sequence_spec(given["sequence"], band, start_index=1)
     symbol = generate_symmetric_symbol(onesided, zero_coeff=zero_coeff, zeta=zeta)
-    jsonio.save_symbol(symbol, args.out)
-    report = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "command": "gen-symbol",
-        "inputs": {**given, "out": str(args.out)},
-        "results": jsonio.symbol_to_json(symbol),
-    }
     # the symbol file itself is the deterministic artifact; the report goes to stdout
-    _emit_report(report, None, started)
-    return EXIT_OK
+    jsonio.save_symbol(symbol, args.out)
+    return {**given, "out": str(args.out)}, jsonio.symbol_to_json(symbol), True
 
 
 @_quiet_overflow
-def _cmd_explore(args) -> int:
-    started = time.perf_counter()
+def _cmd_explore(args) -> tuple[dict, dict, bool]:
     if not args.n > args.band >= 1:
         raise ValueError(f"need --n > --band >= 1, got n={args.n} band={args.band}")
     blocks = _explore_blocks(args.trials, args.n, args.band, args.seed, args.mode, args.tol)
@@ -243,15 +227,8 @@ def _cmd_explore(args) -> int:
         if os.path.isfile(args.out):
             os.remove(args.out)
         raise
-    report = {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "command": "explore",
-        "inputs": {**inputs, "out": str(args.out)},
-        "results": summary,
-    }
     # records already streamed to --out; the summary goes to stdout
-    _emit_report(report, None, started)
-    return EXIT_OK if summary["onesided_disagreements"] == 0 else EXIT_NEGATIVE
+    return {**inputs, "out": str(args.out)}, summary, summary["onesided_disagreements"] == 0
 
 
 def _written(blocks, fh):
@@ -271,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, trials=False, band=False, out_required=False, out_help=None):
         p.add_argument("--n", type=_positive_int, default=32, help="truncation dimension N")
-        p.add_argument("--tol", type=_tolerance, default=1e-10, help="comparison tolerance")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="comparison tolerance")
         if trials:
             p.add_argument("--seed", type=int, default=0, help="random seed")
             p.add_argument("--trials", type=int, default=100, help="number of random trials")
@@ -342,16 +319,32 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report; returns the exit code.
+
+    Each handler returns the report's ``inputs``, its ``results`` and
+    whether the verdict is positive; the envelope, the stdout copy with
+    ``runtime_ms``, the --out copy of the commands in ``_REPORT_TO_OUT``
+    and the exit code are made here, the same for every command.
+    """
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        inputs, results, positive = args.handler(args)
+        report = {
+            "schema_version": jsonio.SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+        }
+        _emit_report(report, args.out if args.command in _REPORT_TO_OUT else None, started)
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         # MemoryError: a size numpy refuses outright, such as a huge --n
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _STACK_ENTRIES, AntilinearMap, apply_antilinear, frobenius_norm
+from .core import _STACK_ENTRIES, DEFAULT_TOL, AntilinearMap, apply_antilinear, frobenius_norm
 
 __all__ = [
     "ConjugationCert",
@@ -356,7 +356,7 @@ def _residual(value) -> float:
 
 
 def verify_conjugation(
-    op: AntilinearMap, trials: int = 100, tol: float = 1e-10, seed=0
+    op: AntilinearMap, trials: int = 100, tol: float = DEFAULT_TOL, seed=0
 ) -> ConjugationCert:
     """Certify the conjugation axioms for an antilinear map.
 

@@ -19,8 +19,11 @@ __all__ = [
     "apply_antilinear",
     "as_operator",
     "frobenius_norm",
-    "inner_product",
 ]
+
+#: Comparison tolerance that every check defaults to: the library's
+#: residual and criterion checks and the command line's ``--tol``.
+DEFAULT_TOL = 1e-10
 
 #: Complex entries in one stacked (rows x dim) work array, 1 MiB. Code that
 #: processes many vectors at once (certificate samples, explore trials)
@@ -37,15 +40,6 @@ def as_operator(matrix) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("operator matrix contains non-finite entries")
     return m
-
-
-def inner_product(f, g) -> complex:
-    """l2 pairing sum_n f_n * conj(g_n), linear in the first argument."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {f.shape} vs {g.shape}")
-    return complex(np.vdot(g, f))
 
 
 @dataclass(frozen=True, eq=False)

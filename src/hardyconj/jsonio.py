@@ -217,9 +217,17 @@ def save_symbol(symbol: LaurentSymbol, path) -> None:
         fh.write(canonical_json(symbol_to_json(symbol)))
 
 
+def _decode(text: str):
+    """``json.loads(text)``, with nesting too deep for the decoder refused as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to decode") from None
+
+
 def load_symbol(path, max_band: int | None = None) -> LaurentSymbol:
     with open(path, "r", encoding="utf-8") as fh:
-        return symbol_from_json(json.load(fh), max_band)
+        return symbol_from_json(_decode(fh.read()), max_band)
 
 
 def cert_to_json(cert: ConjugationCert) -> dict:

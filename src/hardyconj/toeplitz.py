@@ -60,7 +60,7 @@ from .conjugations import (
     squared_powers,
     unimodular,
 )
-from .core import _STACK_ENTRIES, AntilinearMap, frobenius_norm
+from .core import _STACK_ENTRIES, DEFAULT_TOL, AntilinearMap, frobenius_norm
 
 __all__ = [
     "ConditionReport",
@@ -89,8 +89,6 @@ __all__ = [
     "toeplitz_section",
     "trial_draws",
 ]
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +389,7 @@ def diagonal_multipliers(op: AntilinearMap) -> np.ndarray:
     zeta_n ** (2n). The map must keep its factor as a diagonal vector
     (``op.diagonal``); a dense factor raises, even a diagonal one.
     """
-    d = op.diagonal
-    if d is None:
-        raise ValueError("linear factor is dense; build the map from its diagonal vector")
-    return _multipliers(d)
+    return _multipliers(_section_diagonal(op, op.dim))
 
 
 def _multipliers(d: np.ndarray) -> np.ndarray:

@@ -28,10 +28,13 @@ from hardyconj import (
     summarize_exploration,
 )
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
-from hardyconj.jsonio import conjugation_from_spec, json_line, record_to_json
+from hardyconj.jsonio import canonical_json, conjugation_from_spec, json_line, record_to_json
 from hardyconj.toeplitz import run_trial
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
+
+#: A JSON array nested far deeper than Python's decoder can recurse.
+DEEP_JSON = "[" * 100000
 
 
 def run(argv, capsys):
@@ -771,6 +774,47 @@ class TestExploreStream:
         assert tenfold - base < 64 * 720, (base, tenfold)
 
 
+class TestEnvelope:
+    """Every command's stdout report has one envelope, and its exit code is its verdict."""
+
+    VERDICTS = {
+        "check-conjugation": lambda inputs, results: results["passed"],
+        "check-symmetry": lambda inputs, results: results["residual"] <= inputs["tol"],
+        "gen-symbol": lambda inputs, results: True,
+        "explore": lambda inputs, results: results["onesided_disagreements"] == 0,
+    }
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check-conjugation", "--kind", "unitary-seed", "--seed", "3", "--n", "16"], 0),
+            (["check-conjugation", "--kind", "unitary-seed", "--n", "16", "--tol", "0"], 1),
+            (["check-symmetry", "--symbol", "even.json", "--conjugation", '{"kind":"j"}'], 0),
+            (["check-symmetry", "--symbol", "uneven.json", "--conjugation", '{"kind":"j"}'], 1),
+            (["gen-symbol", "--onesided", '[{"n":1,"re":1.0}]', "--sequence", QUARTER_TURN_SEQ], 0),
+            (["explore", "--trials", "4", "--n", "8", "--band", "2", "--mode", "constant"], 0),
+            (["explore", "--trials", "12", "--n", "16", "--band", "3", "--seed", "2"], 1),
+        ],
+    )
+    def test_report_envelope_and_exit_code(self, argv, code, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, mirror in (("even.json", 1.0), ("uneven.json", 2.0)):
+            (tmp_path / name).write_text(json.dumps({
+                "schema_version": 1,
+                "band": 1,
+                "coeffs": [{"n": -1, "re": mirror}, {"n": 1, "re": 1.0}],
+            }))
+        got, out, _ = run(argv + ["--out", "out.json"], capsys)
+        report = stdout_json(out)
+        assert set(report) == {"command", "inputs", "results", "runtime_ms", "schema_version"}
+        assert report["command"] == argv[0]
+        verdict = self.VERDICTS[argv[0]](report["inputs"], report["results"])
+        assert got == code == (0 if verdict else 1)
+        if argv[0].startswith("check-"):
+            del report["runtime_ms"]
+            assert (tmp_path / "out.json").read_text() == canonical_json(report)
+
+
 class TestRefusedOutput:
     """A report that cannot be written exits 2 with one error line and leaves no --out file."""
 
@@ -1109,12 +1153,32 @@ class TestUsageErrors:
                 "explore", "--mode", "unitary", "--seed", "-1", "--n", "8", "--band", "2",
                 "--trials", "2", "--out", "out.json",
             ],
+            # both lambda flags: neither is silently dropped
+            [
+                "check-conjugation", "--kind", "lambda", "--theta", "0.5",
+                "--value", '{"re":1,"im":0}', "--out", "out.json",
+            ],
+            # JSON nested deeper than the decoder recurses: inline, @file, symbol file
+            [
+                "check-conjugation", "--kind", "zeta", "--sequence", DEEP_JSON, "--n", "4",
+                "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "zeta", "--sequence", "@deep.json", "--n", "4",
+                "--out", "out.json",
+            ],
+            ["check-symmetry", "--symbol", "deep_sym.json", "--conjugation", '{"kind":"j"}',
+             "--out", "out.json"],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         # a valid symbol file, so a check-symmetry case fails on its own flaw only
         (tmp_path / "sym.json").write_text('{"schema_version":1,"band":0,"coeffs":[]}')
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        (tmp_path / "deep_sym.json").write_text(
+            '{"schema_version":1,"band":0,"coeffs":' + DEEP_JSON + "}"
+        )
         code, _, err = run(argv, capsys)
         assert_one_line_usage_error(code, err)
         assert not (tmp_path / "out.json").exists()

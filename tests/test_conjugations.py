@@ -27,7 +27,7 @@ from hardyconj.conjugations import (
     _unit_powers,
     orthonormalize,
 )
-from hardyconj.core import _STACK_ENTRIES, inner_product
+from hardyconj.core import _STACK_ENTRIES
 
 
 def random_angles(rng, n):
@@ -62,7 +62,7 @@ def per_pair_samples(op, trials, seed):
     for _ in range(trials):
         f = unit_vector()
         g = unit_vector()
-        isometry = max(isometry, abs(inner_product(op(f), op(g)) - inner_product(g, f)))
+        isometry = max(isometry, abs(np.vdot(op(g), op(f)) - np.vdot(f, g)))
         involution = max(involution, float(np.linalg.norm(op(op(f)) - f)))
     return isometry, involution
 

@@ -12,7 +12,6 @@ from hardyconj import (
     apply_antilinear,
     as_operator,
     frobenius_norm,
-    inner_product,
 )
 
 
@@ -22,29 +21,6 @@ def random_vector(rng, n):
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-class TestInnerProduct:
-    def test_unit_basis_vector(self):
-        assert inner_product([1, 0], [1, 0]) == 1
-
-    def test_single_entry_pairing(self):
-        assert inner_product([0, 1j], [0, 1]) == 1j
-
-    def test_two_term_hand_expansion(self):
-        # 1*3 + 2i*conj(-i) = 3 - 2
-        assert inner_product([1, 2j], [3, -1j]) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner_product([1, 2], [1, 2, 3])
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            f = random_vector(rng, 16)
-            g = random_vector(rng, 16)
-            assert abs(inner_product(f, g) - np.conj(inner_product(g, f))) <= 1e-12
 
 
 class TestApplyAntilinear:
