@@ -46,6 +46,15 @@ EXIT_USAGE = 2
 #: explore write their own artifact there and print the report only.
 _REPORT_TO_OUT = ("check-conjugation", "check-symmetry")
 
+#: The commands that run with numpy's RuntimeWarnings ignored. Their reports
+#: carry computed floats: an overflow shows as a non-finite value, which the
+#: report refuses with the one error line, and the warnings would come first.
+_QUIET = ("check-symmetry", "gen-symbol", "explore")
+
+#: The check-conjugation flags that can supply each spec parameter.
+#: "seed" has none: it is --seed, which every kind also reads as its sample seed.
+_PARAMETER_FLAGS = {"value": ("theta", "value"), "sequence": ("sequence",), "seed": ()}
+
 #: Largest one-sided index gen-symbol accepts. A constant sequence has no
 #: length of its own, so this bounds the 2 * band + 1 coefficients the
 #: command would allocate and write; it is checked before any allocation.
@@ -86,50 +95,37 @@ def _positive_int(text: str) -> int:
 
 
 def _emit_report(report: dict, out, started: float) -> None:
+    # encoded once, before --out is opened: a report that cannot be written leaves no file
+    text = jsonio.canonical_json(report)
     if out:
-        # encoded first: a report that cannot be written leaves no file
-        text = jsonio.canonical_json(report)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    shown = dict(report)
-    shown["runtime_ms"] = int(round((time.perf_counter() - started) * 1000.0))
-    sys.stdout.write(jsonio.canonical_json(shown))
-
-
-def _quiet_overflow(handler):
-    """``handler`` with numpy's RuntimeWarnings ignored while it runs.
-
-    For the commands whose reports carry computed floats: an overflow shows
-    as a non-finite value, which the report refuses with the one error
-    line, and numpy's warnings would come before it.
-    """
-
-    @functools.wraps(handler)
-    def run(args):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return handler(args)
-
-    return run
+    # stdout adds runtime_ms at its sorted place, before the top-level schema_version
+    # (a JSON string holds no newline, so no nested text matches this line)
+    runtime_ms = round((time.perf_counter() - started) * 1000.0)
+    at = text.rindex('\n  "schema_version"')
+    sys.stdout.write(f'{text[:at]}\n  "runtime_ms": {runtime_ms},{text[at:]}')
 
 
 def _conjugation_spec_from_args(args) -> dict:
+    # one flag supplies the kind's parameter; a flag the kind does not read is refused
+    parameter = jsonio._PARAMETER.get(args.kind)
+    flags = _PARAMETER_FLAGS.get(parameter, ())
+    given = [f for fs in _PARAMETER_FLAGS.values() for f in fs if getattr(args, f) is not None]
+    for flag in given:
+        if flag not in flags:
+            raise ValueError(f'kind "{args.kind}" does not take --{flag}')
     spec = {"kind": args.kind}
-    if args.kind == "lambda":
-        if args.value is not None and args.theta is not None:
-            raise ValueError('kind "lambda" takes --theta or --value, not both')
-        if args.value is not None:
-            spec["value"] = _json_arg(args.value)
-        elif args.theta is not None:
-            spec["value"] = {"theta": args.theta}
-        else:
-            raise ValueError('kind "lambda" requires --theta or --value')
-    elif args.kind in ("alpha", "zeta"):
-        if args.sequence is None:
-            raise ValueError(f'kind "{args.kind}" requires --sequence')
-        spec["sequence"] = _json_arg(args.sequence)
-    elif args.kind == "unitary-seed":
-        spec["seed"] = args.seed
+    named = " or ".join(f"--{flag}" for flag in flags)
+    if len(given) > 1:
+        raise ValueError(f'kind "{args.kind}" takes {named}, not both')
+    if given:
+        text = getattr(args, given[0])
+        spec[parameter] = {"theta": text} if given[0] == "theta" else _json_arg(text)
+    elif flags:
+        raise ValueError(f'kind "{args.kind}" requires {named}')
+    elif parameter:
+        spec[parameter] = getattr(args, parameter)
     return spec
 
 
@@ -147,7 +143,6 @@ def _cmd_check_conjugation(args) -> tuple[dict, dict, bool]:
     return inputs, jsonio.cert_to_json(cert), cert.passed
 
 
-@_quiet_overflow
 def _cmd_check_symmetry(args) -> tuple[dict, dict, bool]:
     spec = _json_arg(args.conjugation)
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -168,7 +163,6 @@ def _cmd_check_symmetry(args) -> tuple[dict, dict, bool]:
     return inputs, jsonio.report_to_json(result), result.residual <= args.tol
 
 
-@_quiet_overflow
 def _cmd_gen_symbol(args) -> tuple[dict, dict, bool]:
     # each flag's JSON as given, None where the flag is absent; the report echoes it
     given = {
@@ -194,7 +188,6 @@ def _cmd_gen_symbol(args) -> tuple[dict, dict, bool]:
     return {**given, "out": str(args.out)}, jsonio.symbol_to_json(symbol), True
 
 
-@_quiet_overflow
 def _cmd_explore(args) -> tuple[dict, dict, bool]:
     if not args.n > args.band >= 1:
         raise ValueError(f"need --n > --band >= 1, got n={args.n} band={args.band}")
@@ -322,9 +315,10 @@ def main(argv=None) -> int:
     """Run one command and print its report; returns the exit code.
 
     Each handler returns the report's ``inputs``, its ``results`` and
-    whether the verdict is positive; the envelope, the stdout copy with
-    ``runtime_ms``, the --out copy of the commands in ``_REPORT_TO_OUT``
-    and the exit code are made here, the same for every command.
+    whether the verdict is positive; the warning policy (``_QUIET``), the
+    envelope, the stdout copy with ``runtime_ms``, the --out copy of the
+    commands in ``_REPORT_TO_OUT`` and the exit code are made here, the
+    same for every command.
     """
     try:
         args = _parser().parse_args(argv)
@@ -332,7 +326,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     started = time.perf_counter()
     try:
-        inputs, results, positive = args.handler(args)
+        with warnings.catch_warnings():
+            if args.command in _QUIET:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            inputs, results, positive = args.handler(args)
         report = {
             "schema_version": jsonio.SCHEMA_VERSION,
             "command": args.command,

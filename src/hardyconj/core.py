@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "AntilinearMap",
     "apply_antilinear",
-    "as_operator",
     "frobenius_norm",
 ]
 
@@ -32,7 +31,7 @@ DEFAULT_TOL = 1e-10
 _STACK_ENTRIES = 2**16
 
 
-def as_operator(matrix) -> np.ndarray:
+def _as_operator(matrix) -> np.ndarray:
     """Coerce to a finite, nonempty square complex128 matrix."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -60,7 +59,7 @@ class AntilinearMap:
     def __post_init__(self):
         f = np.asarray(self.factor, dtype=np.complex128)
         if f.ndim != 1:
-            f = as_operator(f)
+            f = _as_operator(f)
         elif f.size == 0 or not np.all(np.isfinite(f)):
             raise ValueError("diagonal factor must be nonempty and finite")
         f = f.copy()

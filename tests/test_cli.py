@@ -774,6 +774,10 @@ class TestExploreStream:
         assert tenfold - base < 64 * 720, (base, tenfold)
 
 
+#: An --out path holding the text of a report's top-level schema_version line.
+KEY_IN_PATH = 'echo\n  "schema_version": 1\n}.json'
+
+
 class TestEnvelope:
     """Every command's stdout report has one envelope, and its exit code is its verdict."""
 
@@ -794,6 +798,11 @@ class TestEnvelope:
             (["gen-symbol", "--onesided", '[{"n":1,"re":1.0}]', "--sequence", QUARTER_TURN_SEQ], 0),
             (["explore", "--trials", "4", "--n", "8", "--band", "2", "--mode", "constant"], 0),
             (["explore", "--trials", "12", "--n", "16", "--band", "3", "--seed", "2"], 1),
+            # the echoed --out path holds the top-level key's line inside a string
+            (["gen-symbol", "--onesided", '[{"n":1,"re":1.0}]', "--sequence", QUARTER_TURN_SEQ,
+              "--out", KEY_IN_PATH], 0),
+            (["explore", "--trials", "4", "--n", "8", "--band", "2", "--mode", "constant",
+              "--out", KEY_IN_PATH], 0),
         ],
     )
     def test_report_envelope_and_exit_code(self, argv, code, tmp_path, capsys, monkeypatch):
@@ -804,9 +813,15 @@ class TestEnvelope:
                 "band": 1,
                 "coeffs": [{"n": -1, "re": mirror}, {"n": 1, "re": 1.0}],
             }))
-        got, out, _ = run(argv + ["--out", "out.json"], capsys)
+        if "--out" not in argv:
+            argv = argv + ["--out", "out.json"]
+        got, out, _ = run(argv, capsys)
         report = stdout_json(out)
+        # stdout is one canonical document, runtime_ms at its sorted place
+        assert out == canonical_json(report)
         assert set(report) == {"command", "inputs", "results", "runtime_ms", "schema_version"}
+        if "out" in report["inputs"]:
+            assert report["inputs"]["out"] == argv[argv.index("--out") + 1]
         assert report["command"] == argv[0]
         verdict = self.VERDICTS[argv[0]](report["inputs"], report["results"])
         assert got == code == (0 if verdict else 1)
@@ -1169,6 +1184,21 @@ class TestUsageErrors:
             ],
             ["check-symmetry", "--symbol", "deep_sym.json", "--conjugation", '{"kind":"j"}',
              "--out", "out.json"],
+            # a parameter flag the kind does not read is refused, not ignored
+            [
+                "check-conjugation", "--kind", "j", "--sequence", '{"thetas":[1]}',
+                "--theta", "3", "--value", '"junk"', "--n", "4", "--out", "out.json",
+            ],
+            ["check-conjugation", "--kind", "unitary-seed", "--theta", "3", "--n", "4",
+             "--out", "out.json"],
+            [
+                "check-conjugation", "--kind", "alpha", "--value", "1",
+                "--sequence", '{"constant":{"theta":0}}', "--n", "4", "--out", "out.json",
+            ],
+            [
+                "check-conjugation", "--kind", "zeta", "--theta", "1",
+                "--sequence", '{"constant":{"theta":0}}', "--n", "4", "--out", "out.json",
+            ],
         ],
     )
     def test_malformed_input_is_one_line_error(self, argv, capsys, tmp_path, monkeypatch):

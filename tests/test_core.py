@@ -10,7 +10,6 @@ import hardyconj.toeplitz
 from hardyconj import (
     AntilinearMap,
     apply_antilinear,
-    as_operator,
     frobenius_norm,
 )
 
@@ -90,11 +89,11 @@ class TestFrobeniusNorm:
 class TestValidation:
     def test_operator_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
-            as_operator(np.zeros((2, 3)))
+            AntilinearMap(np.zeros((2, 3)))
 
     def test_operator_rejects_inf(self):
         with pytest.raises(ValueError, match="non-finite"):
-            as_operator([[1.0, np.inf], [0.0, 1.0]])
+            AntilinearMap([[1.0, np.inf], [0.0, 1.0]])
 
     def test_antilinear_map_is_frozen(self):
         op = AntilinearMap(np.eye(2))
