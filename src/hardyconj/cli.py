@@ -132,7 +132,9 @@ def _conjugation_spec_from_args(args) -> dict:
 def _cmd_check_conjugation(args) -> tuple[dict, dict, bool]:
     spec = _conjugation_spec_from_args(args)
     op = jsonio.conjugation_from_spec(spec, args.n)
-    cert = verify_conjugation(op, trials=args.trials, tol=args.tol, seed=args.seed)
+    # (seed, 1), not seed: unitary-seed draws U from default_rng(seed), and the
+    # sample pairs must not be that stream's rows again
+    cert = verify_conjugation(op, trials=args.trials, tol=args.tol, seed=(args.seed, 1))
     inputs = {
         "conjugation": spec,
         "n": args.n,

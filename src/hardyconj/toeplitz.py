@@ -29,10 +29,13 @@ kernel on stacks whose leading axis is the trial: coefficients (k, 2M + 1),
 multipliers and diagonals (k, N). The public functions call it with a
 stack of one; :func:`explore_symmetry` calls it once per block of at most
 ``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
-complex entries, 1 MiB per stacked array). Each trial's stream is exactly
-``default_rng((seed, trial))``'s, but a block seeds all its trials at once:
-numpy's SeedSequence hash runs as uint32 array operations over the block,
-and one generator is set to each trial's PCG64 state in turn. Only the
+complex entries, 1 MiB per stacked array). Trial t of seed s draws from
+the counter-based Philox stream that plain numpy gives as
+
+    np.random.Generator(np.random.Philox(s, counter=t << 128))
+
+whose key is ``SeedSequence(s).generate_state(2, np.uint64)``. A block
+keys one generator and sets its counter for each trial in turn. Only the
 seeded draws are made per trial; the sequences, the damped and completed
 symbols and the checks are array operations over the block. Rows never
 mix, so a record from a block equals :func:`run_trial` on its trial, bit
@@ -41,7 +44,6 @@ for bit.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -626,141 +628,36 @@ def _check_explore(dim: int, band: int, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}, expected one of {EXPLORE_MODES}")
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
-# seeding (numpy/random/src/pcg64), which default_rng((seed, trial)) runs
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _words(n) -> list[int]:
-    """The 32-bit words of a nonnegative integer, low first, as SeedSequence splits it."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hash_rounds(init: int, mult: int, count: int) -> tuple:
-    """The xor and the multiply constants of ``count`` successive hash rounds.
-
-    Round j xors in h_j and multiplies by h_{j+1}, where h_0 = ``init`` and
-    h_{j+1} = h_j * ``mult`` mod 2**32.
-    """
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return h[:-1], h[1:]
-
-
-def _column(values) -> np.ndarray:
-    """``values`` as a read-only uint32 column, one row per hash round."""
-    column = np.array(values, dtype=np.uint32)[:, None]
-    column.setflags(write=False)
-    return column
-
-
-@functools.cache
-def _hash_schedule(length: int) -> tuple:
-    """The constants of SeedSequence on ``length`` >= 4 words and of generate_state.
-
-    Returns ``(first, passes, last)`` as (4, 1) or (8, 1) xor and multiply
-    columns. ``first`` hashes the entropy into the 4 pool words. Each pass
-    ``(src, xors, mults)`` hashes word ``src`` (a pool word for src < 4, an
-    entropy word after) into every other pool word, one round per target
-    in pool order; the row of the source itself is zero. ``last`` hashes
-    the pool, cycled to 8 words, into the output.
-    """
-    xors, mults = _hash_rounds(_INIT_A, _MULT_A, _POOL_SIZE * length)
-    first = (_column(xors[:_POOL_SIZE]), _column(mults[:_POOL_SIZE]))
-    passes = []
-    j = _POOL_SIZE
-    for src in range(length):
-        pass_xors, pass_mults = [0] * _POOL_SIZE, [0] * _POOL_SIZE
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                pass_xors[dst], pass_mults[dst] = xors[j], mults[j]
-                j += 1
-        passes.append((src, _column(pass_xors), _column(pass_mults)))
-    last = tuple(map(_column, _hash_rounds(_INIT_B, _MULT_B, 2 * _POOL_SIZE)))
-    return first, tuple(passes), last
-
-
-def _hashed(values: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """Hash rounds on rows of uint32 words, row r with constants xors[r], mults[r]."""
-    out = values ^ xors
-    out *= mults
-    out ^= out >> 16
-    return out
-
-
-def _seed_states(entropy: np.ndarray) -> list:
-    """``SeedSequence(column).generate_state(4, np.uint64)`` of each column, as ints.
-
-    ``entropy`` is an (L, k) uint32 array, column i holding the words of one
-    entropy tuple, padded with zero words to L >= 4: SeedSequence hashes a
-    pool word past the entropy as a zero word. Each pass of SeedSequence's
-    loops is one set of array operations over the k columns: no pass reads
-    a pool word that it writes.
-    """
-    first, passes, last = _hash_schedule(len(entropy))
-    pool = _hashed(entropy[:_POOL_SIZE], *first)
-    for src, xors, mults in passes:
-        own = src < _POOL_SIZE
-        y = _hashed(pool[src] if own else entropy[src], xors, mults)
-        # mix(x, y): L * x - R * y, high half folded in
-        y *= _MIX_MULT_R
-        mixed = pool * _MIX_MULT_L
-        mixed -= y
-        mixed ^= mixed >> 16
-        if own:
-            mixed[src] = pool[src]
-        pool = mixed
-    # generate_state cycles the pool into 8 words and pairs them little-endian
-    words = _hashed(np.concatenate((pool, pool)), *last)
-    return words.T.astype("<u4", order="C").view("<u8").tolist()
+_MASK64 = (1 << 64) - 1
 
 
 def _trial_generators(seed: int, trials):
-    """A generator in ``default_rng((seed, trial))``'s state for each trial, in order.
+    """A generator on each trial's stream, in order: ``Philox(seed, counter=trial << 128)``.
 
-    The entropy words of all trials with one word count are hashed as one
-    array (:func:`_seed_states`); PCG64's seeded state and increment then
-    follow from a trial's four hashed words in two 128-bit LCG steps. Every
-    trial gets the same Generator object, made once, set to the trial's
-    state as the trial is reached, so a trial's draws are made before the
-    next trial is asked for. A negative seed or trial raises numpy's error.
+    Philox is counter based (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC 2011): its key is ``SeedSequence(seed)``'s first
+    two 64-bit words, and each 256-bit counter value gives four words. The
+    high 128 counter bits name the trial and the low 128 count the trial's
+    own four-word blocks, so trials never share a counter value and need no
+    hash of their own. One Generator is made per call and set to each trial's
+    counter as the trial is reached, with the empty buffer the constructor
+    leaves, so a trial's draws are made before the next trial is asked for.
+    The seed and every trial are checked before the first is given: a
+    negative one raises numpy's error, a trial of 2**128 or more a ValueError.
     """
-    head = _words(seed)
+    bit_generator = np.random.Philox(operator.index(seed))
     trials = [operator.index(t) for t in trials]
     if min(trials, default=0) < 0:
         raise ValueError("expected non-negative integer")
-    counts = [max(1, (t.bit_length() + 31) // 32) for t in trials]
-    states = [None] * len(trials)
-    for count in set(counts):
-        rows = [i for i, c in enumerate(counts) if c == count]
-        # the seed's words, then the trial's, low first; zero words pad to the pool
-        width = len(head) + count
-        entropy = np.zeros((max(width, _POOL_SIZE), len(rows)), dtype=np.uint32)
-        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        tails = (trials[i] >> shift & _MASK32 for shift in range(0, 32 * count, 32) for i in rows)
-        entropy[len(head) : width] = np.fromiter(tails, np.uint32, count * len(rows)).reshape(count, -1)
-        for i, state in zip(rows, _seed_states(entropy)):
-            states[i] = state
-    bit_generator = np.random.PCG64(0)  # a fixed seed: each trial's state replaces it
+    if max(trials, default=0) >> 128:
+        raise ValueError(f"trial {max(trials)} is not below 2**128")
     rng = np.random.Generator(bit_generator)
-    for high, low, seq_high, seq_low in states:
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    # counter 0, buffer used up, no spare 32-bit word: the state the constructor makes
+    state = bit_generator.state
+    counter = state["state"]["counter"]
+    for t in trials:
+        counter[2:] = t & _MASK64, t >> 64
+        bit_generator.state = state
         yield rng
 
 
@@ -779,9 +676,9 @@ def _block_draws(trials, dim: int, band: int, seed: int, mode: str) -> tuple:
 
     Returns the resolved modes, the sequences (k, dim - 1), their
     multipliers (k, dim) and the symbols' coefficients (k, 2 * band + 1).
-    Each trial draws from its own stream, exactly
-    ``default_rng((seed, trial))``'s, set per block from the hashed seeds
-    by :func:`_trial_generators`. It draws in a fixed order: the sequence
+    Each trial draws from its own stream,
+    ``Philox(seed, counter=trial << 128)``'s, set per trial on one keyed
+    generator by :func:`_trial_generators`. It draws in a fixed order: the sequence
     angles (one for a constant sequence), then the real and the imaginary
     normals of the symbol, or of its one-sided half. Only the draws are per
     trial. The exp, the damping and the completion run once over the
@@ -898,10 +795,10 @@ def explore_symmetry(
     constant sequence, where all criteria provably coincide; ``unitary``
     draws a dense random conjugation and records the raw residual only;
     ``mixed`` cycles generic, symmetrized, constant. Trials are
-    independent and each reseeds from (seed, trial), so :func:`run_trial`
-    regenerates any record alone and :func:`trial_draws` its sequence and
-    symbol. A record holds only the pair, the resolved mode and the
-    report, as its JSON line does.
+    independent: trial t draws from ``np.random.Generator(np.random.Philox(seed,
+    counter=t << 128))``, so :func:`run_trial` regenerates any record alone
+    and :func:`trial_draws` its sequence and symbol. A record holds only the
+    pair, the resolved mode and the report, as its JSON line does.
 
     Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``, as the
     module docstring describes: only the seeded draws are per trial, and

@@ -86,6 +86,30 @@ class TestCheckConjugation:
         assert report["inputs"]["conjugation"] == {"kind": "unitary-seed", "seed": 7}
         assert report["results"]["passed"] is True
 
+    def test_unitary_seed_samples_are_not_rows_of_its_gaussian(self, capsys, monkeypatch):
+        # U orthonormalizes G = Re G + i Im G from default_rng(s); the sampled
+        # vectors must come from a stream of their own, not from G's rows
+        dim, samples = 16, []
+        apply = hardyconj.conjugations.apply_antilinear
+
+        def recording(op, f):
+            samples.append(f)
+            return apply(op, f)
+
+        monkeypatch.setattr(hardyconj.conjugations, "apply_antilinear", recording)
+        code, _, _ = run(
+            ["check-conjugation", "--kind", "unitary-seed", "--seed", "7", "--n", str(dim)], capsys
+        )
+        assert code == 0
+        rows = np.random.default_rng(7).standard_normal((2 * dim, dim))  # Re G, then Im G
+        parts = np.concatenate([np.concatenate((x.real, x.imag)) for x in samples])
+
+        def unit(m):
+            return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+        # 1 where a sampled part is parallel to a row of G
+        assert np.abs(unit(parts) @ unit(rows).T).max() < 0.99
+
     def test_non_unimodular_value_is_usage_error(self, capsys):
         code, _, err = run(
             ["check-conjugation", "--kind", "lambda", "--value", '{"re":2.0,"im":0.0}'], capsys

@@ -767,10 +767,17 @@ def same_draws(got, expected):
     assert symbol.coeffs.tobytes() == symbol_ref.coeffs.tobytes()
 
 
+def trial_stream(seed, trial):
+    """Trial ``trial``'s generator for ``seed``, from numpy's public Philox constructor."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
+
+
 def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFAULT_TOL):
     """Diagonal-mode explore records, and their (zeta, symbol) draws, built trial by trial.
 
-    The reference for explore's block draws. Each trial draws its angles
+    The reference for explore's block draws. Each trial draws from
+    :func:`trial_stream`: its angles
     with ``rng.uniform`` and forms its sequence with ``np.exp`` of them
     (``np.full`` of one value when constant), and its symbol as
     ``1.0 * raw / (1 + |n|)``, or its one-sided half damped in place; the
@@ -779,7 +786,7 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
     modes, zetas, symbols = [], [], []
     for trial in trials:
         resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
-        rng = np.random.default_rng((seed, trial))
+        rng = trial_stream(seed, trial)
         if resolved == "constant":
             zetas.append(np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
         else:
@@ -857,7 +864,7 @@ class TestExplorationBlocks:
         records = explore_symmetry(20, dim, band, seed=31, mode="unitary")
         n = np.arange(-band, band + 1)
         for t, record in enumerate(records):
-            rng = np.random.default_rng((31, t))
+            rng = trial_stream(31, t)
             z = rng.standard_normal((2, dim, dim))
             raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
             symbol = LaurentSymbol(band, 1.0 * raw / (1.0 + np.abs(n)))
@@ -947,38 +954,39 @@ class TestExplorationBlocks:
 
 
 class TestTrialSeeding:
-    """Explore seeds a block at once; every trial's stream is default_rng((seed, trial))'s."""
+    """Explore keys one Philox generator per block; trial t's stream starts at counter t << 128."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 3, 10**40])
     @pytest.mark.parametrize(
         "trials",
-        [[0], [1], [2**32 - 1], [2**32], range(40), [5, 2**32, 0, 2**32 - 1, 2**64 + 1, 1]],
+        [[0], [1], [2**64 + 1], [2**128 - 1], range(40), [5, 2**32, 0, 2**128 - 1, 2**64 + 1, 1]],
     )
     def test_generators_are_numpys(self, seed, trials):
         generators = hardyconj.toeplitz._trial_generators(seed, trials)
         for count, (t, rng) in enumerate(zip(trials, generators), 1):
-            ref = np.random.default_rng((seed, t))
-            assert rng.bit_generator.state == ref.bit_generator.state, t
+            ref = trial_stream(seed, t)
             assert rng.random(3).tobytes() == ref.random(3).tobytes(), t
             assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), t
+            # an odd count of 32-bit draws leaves a spare word the next trial must not see
+            assert rng.integers(2**32, size=3, dtype=np.uint32).tobytes() == (
+                ref.integers(2**32, size=3, dtype=np.uint32).tobytes()
+            ), t
         assert count == len(trials)
 
-    def test_hashed_states_are_seed_sequences(self):
-        # entropy of 1 .. 9 words: shorter than the pool, filling it and beyond
-        rng = np.random.default_rng(61)
-        for length in range(1, 10):
-            entropy = rng.integers(0, 2**32, (length, 7), dtype=np.uint32)
-            entropy[:, 0] = 0
-            entropy[:, 1] = 2**32 - 1
-            padded = np.zeros((max(length, 4), 7), dtype=np.uint32)
-            padded[:length] = entropy
-            states = hardyconj.toeplitz._seed_states(padded)
-            for column, state in zip(entropy.T, states):
-                expected = np.random.SeedSequence(column).generate_state(4, np.uint64)
-                assert state == expected.tolist(), (length, column)
+    @pytest.mark.parametrize(
+        "seed, trial, words",
+        [(1, 0, [0x1119EFBD6BC0CE3A, 0x143A31DF2C79CF7E]),
+         (10**40, 2**64 + 1, [0x1040C18B16ECD930, 0x090F25056F54C438])],
+    )
+    def test_stream_is_pinned(self, seed, trial, words):
+        # numpy keeps Philox's stream fixed, so only a change of key or
+        # counter layout moves these words, and with them every seeded record
+        rng = next(hardyconj.toeplitz._trial_generators(seed, [trial]))
+        assert rng.bit_generator.random_raw(2).tolist() == words
+        assert trial_stream(seed, trial).bit_generator.random_raw(2).tolist() == words
 
     def test_large_seeds_and_trials_replay(self):
-        trials, seed = [0, 2**32 - 1, 2**32, 2**64 + 1], 10**40
+        trials, seed = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1], 10**40
         reference, draws = per_trial_records(trials, 24, 4, seed, "mixed")
         block = hardyconj.toeplitz._run_block(trials, 24, 4, seed, "mixed", reference[0].report.tol)
         records = hardyconj.toeplitz._records(block)
@@ -1000,8 +1008,20 @@ class TestTrialSeeding:
             lambda: trial_draws(-1, 8, 2, seed=3, mode=mode),
             lambda: trial_draws(0, 8, 2, seed=-1, mode=mode),
             lambda: explore_symmetry(3, 8, 2, seed=-1, mode=mode),
+            lambda: next(hardyconj.toeplitz._trial_generators(3, [0, 1, -1])),
         ):
             with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("mode", EXPLORE_MODES)
+    def test_trial_beyond_the_counter_is_refused(self, mode):
+        for call in (
+            lambda: run_trial(2**128, 8, 2, seed=3, mode=mode),
+            lambda: trial_draws(2**128, 8, 2, seed=3, mode=mode),
+            # a block is checked whole before its first trial is given
+            lambda: next(hardyconj.toeplitz._trial_generators(3, [0, 1, 2**128])),
+        ):
+            with pytest.raises(ValueError, match="2\\*\\*128"):
                 call()
 
     def test_unitary_trial_draws_make_no_qr(self, monkeypatch):
