@@ -14,7 +14,7 @@ truncation error, to
 which splits into one condition per offset p = j - k of the symbol's
 band: c(p) * w[k + p] == c(-p) * w[k] for 0 <= k < N - p. A diagonal map
 is therefore checked offset by offset, in O(N * M) time and O(N) memory
-with no section built: :func:`diagonal_residual` and
+with no section built: :func:`symmetry_report` and
 :func:`entrywise_condition`. The dense section with :func:`symmetry_residual`
 stays the oracle, and is what a dense conjugation gets.
 
@@ -24,10 +24,10 @@ index (in particular for the rotation family w_n = lam**n) but is weaker
 in general; :func:`explore_symmetry` measures how often they disagree
 against the operator-residual oracle.
 
-All three diagonal checks (residual, one-sided, entrywise) are one private
-kernel on stacks whose leading axis is the trial: coefficients (k, 2M + 1),
-multipliers and diagonals (k, N). The public functions call it with a
-stack of one; :func:`explore_symmetry` calls it once per block of at most
+The diagonal checks are two private functions on stacks whose leading
+axis is the trial: coefficients (k, 2M + 1), multipliers and diagonals
+(k, N). The public functions call them with a stack of one;
+:func:`explore_symmetry` calls them once per block of at most
 ``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
 complex entries, 1 MiB per stacked array). Trial t of seed s draws from
 the counter-based Philox stream that plain numpy gives as
@@ -71,7 +71,6 @@ __all__ = [
     "LaurentSymbol",
     "SymmetryReport",
     "diagonal_multipliers",
-    "diagonal_residual",
     "entrywise_condition",
     "evaluate_on_grid",
     "explore_symmetry",
@@ -202,10 +201,7 @@ def fourier_coefficients(samples, band: int) -> LaurentSymbol:
             f"{k} samples alias at band {band}; need at least {2 * band + 1}"
         )
     spectrum = np.fft.fft(samples) / k
-    if band == 0:
-        return LaurentSymbol(0, spectrum[:1])
-    coeffs = np.concatenate((spectrum[-band:], spectrum[: band + 1]))
-    return LaurentSymbol(band, coeffs)
+    return LaurentSymbol(band, spectrum[np.arange(-band, band + 1)])
 
 
 def toeplitz_section(symbol: LaurentSymbol, dim: int) -> np.ndarray:
@@ -274,100 +270,65 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offset_criteria(coeffs, onesided=None, entrywise=None, diagonal=None):
-    """The diagonal-map checks for a stack of k trials, one trial per row.
+def _onesided_violation(coeffs, w):
+    """The one-sided gap max_n |c(n) w_n - c(-n)|, n = 0 .. M, of each row of a stack.
 
-    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M). Each
-    keyword takes a (k, width) array and turns on one output:
-
-    - ``onesided``: multipliers w_0 .. w_M; max_n |c(n) w_n - c(-n)|;
-    - ``entrywise``: multipliers w_0 .. w_{N-1}; the largest
-      |w[k+p] c(p) - w[k] c(-p)| over offsets p = 1 .. min(M, N - 1);
-    - ``diagonal``: the factor's diagonal d_0 .. d_{N-1}; the Frobenius
-      norm of D conj(T) - T^H D, sqrt(2 * sum |d[k+p] conj(c(p)) -
-      conj(c(-p)) d[k]|^2) over the same offsets.
-
-    Returns (onesided, entrywise, residual) as (k,) float arrays, None
-    where the input is None. Each offset is one set of array operations
-    over the whole stack, written into work arrays of O(k * N) entries
-    that are allocated once per call. Rows never mix, so a row's results
-    have the same bits whatever else is stacked with it.
+    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M); of the
+    multipliers ``w``, (k, width > M), only w_0 .. w_M are read.
     """
-    k, width = coeffs.shape
-    band = width // 2
+    band = coeffs.shape[1] // 2
+    gap = _times(coeffs[:, band:], w[:, : band + 1])
+    gap -= coeffs[:, band::-1]
+    # hypot rounds like the scalar abs the completion rule was checked with
+    return np.hypot(gap.real, gap.imag).max(axis=1)
+
+
+def _offset_criteria(coeffs, w, d):
+    """The entrywise check and the residual of a diagonal map, for a stack of k trials.
+
+    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M); the
+    multipliers ``w`` and the factor's diagonal ``d`` are (k, N). Returns
+    (entrywise, residual) as (k,) float arrays: the largest
+    |w[k+p] c(p) - w[k] c(-p)| over offsets p = 1 .. min(M, N - 1), and the
+    Frobenius norm of D conj(T) - T^H D, sqrt(2 * sum |d[k+p] conj(c(p)) -
+    conj(c(-p)) d[k]|^2) over the same offsets. The two are separate
+    computations, from w and c and from d and conj(c), so their verdicts
+    cross-check each other. Each offset is one set of array operations over
+    the whole stack, written into work arrays of O(k * N) entries that are
+    allocated once per call. Rows never mix, so a row's results have the
+    same bits whatever else is stacked with it.
+    """
+    k, dim = w.shape
+    band = coeffs.shape[1] // 2
+    m = min(band, dim - 1)
     # column p of plus / minus is c(p) / c(-p) for p = 0 .. band, shaped (k, 1)
     plus = coeffs[:, band:, None]
     minus = coeffs[:, band::-1, None]
-    one = ent = res = None
-    if onesided is not None:
-        gap = _times(plus[..., 0], onesided)
-        gap -= minus[..., 0]
-        # hypot rounds like the scalar abs the completion rule was checked with
-        one = np.hypot(gap.real, gap.imag).max(axis=1)
-    if entrywise is None and diagonal is None:
-        return one, ent, res
-    dim = (diagonal if entrywise is None else entrywise).shape[1]
-    m = min(band, dim - 1)
+    conj = np.conj(coeffs)
+    conj_plus, conj_minus = conj[:, band:, None], conj[:, band::-1, None]
     # reused across offsets: at large N a fresh temporary per operation is
     # paged in anew each time
     x_work = np.empty((k, dim - 1), dtype=np.complex128)
     y_work = np.empty_like(x_work)
     real_work = np.empty((k, 2 * (dim - 1)))
     x_parts = x_work.view(np.float64)  # real and imaginary parts, interleaved
-    if entrywise is not None:
-        w = entrywise
-        peaks = np.zeros((k, m + 1))  # column p: each trial's largest gap at offset p
-    if diagonal is not None:
-        d = diagonal
-        squares = np.zeros((k, m + 1))  # column p: each trial's sum of squares at offset p
-        conj = np.conj(coeffs)
-        conj_plus, conj_minus = conj[:, band:, None], conj[:, band::-1, None]
+    peaks = np.zeros((k, m + 1))  # column p: each trial's largest gap at offset p
+    squares = np.zeros((k, m + 1))  # column p: each trial's sum of squares at offset p
     for p in range(1, m + 1):
         n = dim - p
         x, y = x_work[:, :n], y_work[:, :n]
-        if entrywise is not None:
-            np.multiply(w[:, p:], plus[:, p], x)
-            np.multiply(w[:, :n], minus[:, p], y)
-            np.subtract(x, y, x)
-            # the vector abs, as in the dense section reference
-            np.abs(x, real_work[:, :n]).max(axis=1, out=peaks[:, p])
-        if diagonal is not None:
-            np.multiply(d[:, p:], conj_plus[:, p], x)
-            np.multiply(conj_minus[:, p], d[:, :n], y)
-            np.subtract(x, y, x)
-            # square, then sum along rows: unlike einsum, or a sum down a
-            # column, this gives a row the same bits at any stack height
-            np.square(x_parts[:, : 2 * n], real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
-    if entrywise is not None:
-        ent = peaks.max(axis=1)
-    if diagonal is not None:
-        res = np.sqrt(2.0 * squares.sum(axis=1))
-    return one, ent, res
-
-
-def _section_diagonal(op: AntilinearMap, dim: int) -> np.ndarray:
-    """The diagonal vector of ``op``, which must act on a dim x dim section."""
-    d = op.diagonal
-    if d is None:
-        raise ValueError("linear factor is dense; build the map from its diagonal vector")
-    if d.size != dim:
-        raise ValueError(f"operator dimension {d.size} does not match section size {dim}")
-    return d
-
-
-def diagonal_residual(op: AntilinearMap, symbol: LaurentSymbol, dim: int) -> float:
-    """Frobenius norm of D conj(T) - T^H D for a diagonal map, from offsets.
-
-    Entry (k + p, k) of that matrix is d[k+p] conj(c(p)) - conj(c(-p)) d[k],
-    entry (k, k + p) is its negative and the main diagonal vanishes, so the
-    norm is sqrt(2 * sum over p = 1 .. min(band, dim - 1) and k of the
-    squared moduli). O(dim * band) time and O(dim) memory; no section or
-    dense factor is built. Equal to :func:`symmetry_residual` on
-    ``toeplitz_section(symbol, dim)`` up to roundoff. A dense factor
-    raises, as in :func:`diagonal_multipliers`.
-    """
-    d = _section_diagonal(op, dim)
-    return float(_offset_criteria(symbol.coeffs[None], diagonal=d[None])[2][0])
+        np.multiply(w[:, p:], plus[:, p], x)
+        np.multiply(w[:, :n], minus[:, p], y)
+        np.subtract(x, y, x)
+        # the vector abs, as in the dense section reference
+        np.abs(x, real_work[:, :n]).max(axis=1, out=peaks[:, p])
+        np.multiply(d[:, p:], conj_plus[:, p], x)
+        np.multiply(conj_minus[:, p], d[:, :n], y)
+        np.subtract(x, y, x)
+        # square, then sum along rows: unlike einsum, or a sum down a
+        # column, this gives a row the same bits at any stack height
+        np.square(x_parts[:, : 2 * n], real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
+    return peaks.max(axis=1), np.sqrt(2.0 * squares.sum(axis=1))
 
 
 def sequence_multipliers(zeta, count: int) -> np.ndarray:
@@ -391,7 +352,10 @@ def diagonal_multipliers(op: AntilinearMap) -> np.ndarray:
     zeta_n ** (2n). The map must keep its factor as a diagonal vector
     (``op.diagonal``); a dense factor raises, even a diagonal one.
     """
-    return _multipliers(_section_diagonal(op, op.dim))
+    d = op.diagonal
+    if d is None:
+        raise ValueError("linear factor is dense; build the map from its diagonal vector")
+    return _multipliers(d)
 
 
 def _multipliers(d: np.ndarray) -> np.ndarray:
@@ -423,7 +387,7 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < m + 1:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
-    violation = float(_offset_criteria(symbol.coeffs[None], onesided=w[None, : m + 1])[0][0])
+    violation = float(_onesided_violation(symbol.coeffs[None], w[None])[0])
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -444,7 +408,8 @@ def entrywise_condition(
     w = np.asarray(multipliers, dtype=np.complex128)
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    violation = float(_offset_criteria(symbol.coeffs[None], entrywise=w[None, :dim])[1][0])
+    w = w[None, :dim]
+    violation = float(_offset_criteria(symbol.coeffs[None], w, np.conj(w))[0][0])
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -502,9 +467,9 @@ class SymmetryReport:
     """Operator residual next to the coefficient-criterion verdicts.
 
     ``residual`` always covers the full section, so the report carries no
-    window. For a diagonal map it is computed offset by offset
-    (:func:`diagonal_residual`), for a dense one from the section
-    (:func:`symmetry_residual`); the two agree to roundoff.
+    window. For a diagonal map it is computed offset by offset, for a
+    dense one from the section (:func:`symmetry_residual`); the two agree
+    to roundoff.
     ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
     one-sided criterion; ``agree`` records whether that verdict matches
     the residual oracle at the same tolerance. The entrywise fields hold
@@ -528,31 +493,32 @@ def symmetry_report(
 ) -> SymmetryReport:
     """Residual oracle plus, for a diagonal map, both coefficient criteria.
 
-    A map that keeps its factor as a diagonal vector (``op.diagonal``) is
-    checked from the symbol's offsets in O(dim * band), with no section, by
-    one call of the offset kernel behind :func:`diagonal_residual`,
-    :func:`onesided_condition` and :func:`entrywise_condition`, which gives
-    all three values at once. Within it the residual and the entrywise
-    check are separate computations, from d and conj(c) and from w and c,
-    so their verdicts cross-check each other. A dense factor, even a
-    diagonal one such as ``AntilinearMap(np.diag(d))``, gets the section
-    and the dense :func:`symmetry_residual` over all of it, and no
-    criteria. The report has no window; a caller that wants a trimmed one
-    for a banded dense map calls :func:`symmetry_residual` with it. The
-    report is the one row of a block of :func:`explore_symmetry`'s kind,
-    so its verdicts follow explore's rule.
+    The map must act on dim x dim sections and the band must not exceed
+    dim - 1. A diagonal-vector map (``op.diagonal``) is checked from the
+    symbol's offsets in O(dim * band), with no section: the one-sided gap
+    as :func:`onesided_condition` takes it, and the entrywise violation and
+    the residual from one call of the offset kernel behind
+    :func:`entrywise_condition`, two computations whose verdicts
+    cross-check each other. A dense factor, even a diagonal one such as
+    ``AntilinearMap(np.diag(d))``, gets the section and the dense
+    :func:`symmetry_residual` over all of it, and no criteria. The report
+    has no window; a caller that wants a trimmed one for a banded dense
+    map calls :func:`symmetry_residual` with it. The report is the one row
+    of a block of :func:`explore_symmetry`'s kind, so its verdicts follow
+    explore's rule.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
+    if op.dim != dim:
+        raise ValueError(f"operator dimension {op.dim} does not match section size {dim}")
     if op.diagonal is None:
         residual = np.array([symmetry_residual(op, toeplitz_section(symbol, dim))])
         return _reports(_columns(tol, residual))[0]
-    d = _section_diagonal(op, dim)[None]
+    d = op.diagonal[None]
     w = _multipliers(d)
-    one, ent, res = _offset_criteria(
-        symbol.coeffs[None], onesided=w[:, : symbol.band + 1], entrywise=w, diagonal=d
-    )
-    return _reports(_columns(tol, res, one, ent))[0]
+    coeffs = symbol.coeffs[None]
+    ent, res = _offset_criteria(coeffs, w, d)
+    return _reports(_columns(tol, res, _onesided_violation(coeffs, w), ent))[0]
 
 
 class _Block(NamedTuple):
@@ -578,11 +544,14 @@ class _Block(NamedTuple):
 
 
 def _columns(tol, residual, onesided=None, entrywise=None, **trials) -> _Block:
-    """A block from its (k,) value arrays: the one place verdicts are made.
+    """A block from its (k,) value arrays, with the verdicts of its rows.
 
-    Each verdict is one pass over the block's values, compared as Python
-    floats, as :func:`summarize_exploration` compares a report's. ``trials``
-    are the block's trials, modes and seed.
+    Every verdict of :func:`symmetry_report` and of explore's blocks is
+    made here, one pass over the block's values, compared as Python
+    floats. :func:`onesided_condition`, :func:`entrywise_condition`,
+    :func:`summarize_exploration` and the ``check-symmetry`` command
+    compare with ``tol`` on their own, in the same way. ``trials`` are
+    the block's trials, modes and seed.
     """
     residual = residual.tolist()
     holds = [r <= tol for r in residual]
@@ -735,10 +704,9 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
         modes = [mode] * len(trials)
         return _columns(tol, np.array(residual), trials=trials, modes=modes, seed=seed)
     modes, _, w, coeffs = _block_draws(trials, dim, band, seed, mode)
-    one, ent, res = _offset_criteria(
-        coeffs, onesided=w[:, : band + 1], entrywise=w, diagonal=np.conj(w)
-    )
-    return _columns(tol, res, one, ent, trials=trials, modes=modes, seed=seed)
+    ent, res = _offset_criteria(coeffs, w, np.conj(w))
+    return _columns(tol, res, _onesided_violation(coeffs, w), ent,
+                    trials=trials, modes=modes, seed=seed)
 
 
 def _records(block: _Block) -> list[ExplorationRecord]:

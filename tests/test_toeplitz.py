@@ -17,7 +17,6 @@ from hardyconj import (
     canonical_conjugation,
     conjugation_from_unitary,
     diagonal_multipliers,
-    diagonal_residual,
     entrywise_condition,
     evaluate_on_grid,
     explore_symmetry,
@@ -361,6 +360,16 @@ class TestEntrywiseCondition:
         with pytest.raises(ValueError, match="positive"):
             entrywise_condition(LaurentSymbol.from_pairs({0: 1.0}), [1.0], 0)
 
+    @pytest.mark.parametrize("band, dim", [(5, 3), (9, 2), (4, 1)])
+    def test_band_beyond_section_equals_section_reference(self, band, dim):
+        # offsets beyond dim - 1 fall outside the section and are not checked
+        rng = np.random.default_rng((79, band, dim))
+        for _ in range(5):
+            sym = random_symbol(band, rng)
+            w = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim))
+            reference = section_entrywise_violation(toeplitz_section(sym, dim), w)
+            assert entrywise_condition(sym, w, dim).max_violation == reference
+
 
 class TestGenerateSymmetricSymbol:
     def test_quarter_turn_entry_gives_negated_mirror(self):
@@ -518,7 +527,6 @@ class TestOffsetForms:
             t = toeplitz_section(sym, dim)
             oracle = symmetry_residual(op, t)
             report = symmetry_report(op, sym, dim)
-            assert report.residual == diagonal_residual(op, sym, dim), label
             assert abs(report.residual - oracle) <= dim * EPS * np.linalg.norm(t), (
                 label, sym.band
             )
@@ -537,10 +545,30 @@ class TestOffsetForms:
         rng = np.random.default_rng(113)
         for name, op in diagonal_families:
             sym = random_symbol(2, rng)
-            with pytest.raises(ValueError, match="dense"):
-                diagonal_residual(AntilinearMap(op.a_matrix), sym, op.dim)
             with pytest.raises(ValueError, match="match"):
-                diagonal_residual(op, sym, op.dim + 1)
+                symmetry_report(op, sym, op.dim + 1)
+
+    def test_dense_map_of_wrong_size_is_refused_before_its_section(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a section was built")
+
+        monkeypatch.setattr(hardyconj.toeplitz, "toeplitz_section", refuse)
+        sym = LaurentSymbol.from_pairs({-1: 1.0, 1: 1.0})
+        dense = AntilinearMap(np.eye(6))
+        for dim in (5, 7):
+            with pytest.raises(
+                ValueError, match=f"operator dimension 6 does not match section size {dim}"
+            ):
+                symmetry_report(dense, sym, dim)
+
+    def test_onesided_gap_equals_the_report_bit_for_bit(self, diagonal_families):
+        rng = np.random.default_rng(131)
+        for name, op in diagonal_families:
+            for band in (0, 1, 3, op.dim - 1):
+                sym = random_symbol(band, rng)
+                alone = onesided_condition(sym, diagonal_multipliers(op)).max_violation
+                report = symmetry_report(op, sym, op.dim).max_coeff_violation
+                assert alone == report, (name, band)
 
     def test_large_report_builds_no_matrix(self, monkeypatch):
         dim, band = 4096, 8
@@ -903,8 +931,9 @@ class TestExplorationBlocks:
 
         def kernel(i):
             rows = slice(None) if i is None else slice(i, i + 1)
-            return hardyconj.toeplitz._offset_criteria(
-                coeffs[rows], onesided=w[rows, : band + 1], entrywise=w[rows], diagonal=d[rows]
+            return (
+                hardyconj.toeplitz._onesided_violation(coeffs[rows], w[rows]),
+                *hardyconj.toeplitz._offset_criteria(coeffs[rows], w[rows], d[rows]),
             )
 
         stacked = kernel(None)
@@ -936,9 +965,9 @@ class TestExplorationBlocks:
             reports.append(args)
             return report(*args, **kwargs)
 
-        def counting_kernel(coeffs, **kwargs):
+        def counting_kernel(coeffs, w, d):
             kernels.append(coeffs.shape[0])
-            return kernel(coeffs, **kwargs)
+            return kernel(coeffs, w, d)
 
         monkeypatch.setattr(hardyconj.toeplitz, "symmetry_report", counting_report)
         monkeypatch.setattr(hardyconj.toeplitz, "_offset_criteria", counting_kernel)
