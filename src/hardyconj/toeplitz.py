@@ -29,17 +29,13 @@ axis is the trial: coefficients (k, 2M + 1), multipliers and diagonals
 (k, N). The public functions call them with a stack of one;
 :func:`explore_symmetry` calls them once per block of at most
 ``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
-complex entries, 1 MiB per stacked array). Trial t of seed s draws from
-the counter-based Philox stream that plain numpy gives as
-
-    np.random.Generator(np.random.Philox(s, counter=t << 128))
-
-whose key is ``SeedSequence(s).generate_state(2, np.uint64)``. A block
-keys one generator and sets its counter for each trial in turn. Only the
-seeded draws are made per trial; the sequences, the damped and completed
-symbols and the checks are array operations over the block. Rows never
-mix, so a record from a block equals :func:`run_trial` on its trial, bit
-for bit.
+complex entries, 1 MiB per stacked array). Trial t of seed s reads K
+uniforms from word t * K of the counter-based ``np.random.Philox(s)``
+stream, K = (N - 1) + 2 * (2M + 1) rounded up to a multiple of 4, so a
+block is one ``advance`` and one ``random((k, K))`` call. The sequences,
+the damped and completed symbols and the checks are array operations
+over the block. Rows never mix, so a record from a block equals
+:func:`run_trial` on its trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -385,6 +381,8 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     """
     m = symbol.band
     w = np.asarray(multipliers, dtype=np.complex128)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
     if w.size < m + 1:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
     violation = float(_onesided_violation(symbol.coeffs[None], w[None])[0])
@@ -406,6 +404,8 @@ def entrywise_condition(
     if dim < 1:
         raise ValueError("dimension must be positive")
     w = np.asarray(multipliers, dtype=np.complex128)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
     w = w[None, :dim]
@@ -590,102 +590,76 @@ class ExplorationRecord:
     report: SymmetryReport
 
 
-def _check_explore(dim: int, band: int, mode: str) -> None:
+def _check_explore(dim: int, band: int, mode: str, seed: int, trials: range) -> None:
+    """Refuse bad geometry or mode, a seed that is no int, and trials outside 0 .. 2**128 - 1.
+
+    A negative trial gets numpy's message for a negative seed.
+    """
+    operator.index(seed)  # Philox would take a sequence of ints as well
     if not dim > band >= 1:
         raise ValueError("need dim > band >= 1")
     if mode not in EXPLORE_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {EXPLORE_MODES}")
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _trial_generators(seed: int, trials):
-    """A generator on each trial's stream, in order: ``Philox(seed, counter=trial << 128)``.
-
-    Philox is counter based (Salmon et al., "Parallel random numbers: as
-    easy as 1, 2, 3", SC 2011): its key is ``SeedSequence(seed)``'s first
-    two 64-bit words, and each 256-bit counter value gives four words. The
-    high 128 counter bits name the trial and the low 128 count the trial's
-    own four-word blocks, so trials never share a counter value and need no
-    hash of their own. One Generator is made per call and set to each trial's
-    counter as the trial is reached, with the empty buffer the constructor
-    leaves, so a trial's draws are made before the next trial is asked for.
-    The seed and every trial are checked before the first is given: a
-    negative one raises numpy's error, a trial of 2**128 or more a ValueError.
-    """
-    bit_generator = np.random.Philox(operator.index(seed))
-    trials = [operator.index(t) for t in trials]
-    if min(trials, default=0) < 0:
+    if trials.start < 0:
         raise ValueError("expected non-negative integer")
-    if max(trials, default=0) >> 128:
-        raise ValueError(f"trial {max(trials)} is not below 2**128")
-    rng = np.random.Generator(bit_generator)
-    # counter 0, buffer used up, no spare 32-bit word: the state the constructor makes
-    state = bit_generator.state
-    counter = state["state"]["counter"]
-    for t in trials:
-        counter[2:] = t & _MASK64, t >> 64
-        bit_generator.state = state
-        yield rng
+    if trials[-1] >> 128:
+        raise ValueError(f"trial {trials[-1]} is not below 2**128")
 
 
-def _unitary_draws(dim: int, band: int, rng: np.random.Generator) -> tuple:
+def _unitary_draws(dim: int, band: int, seed: int, trial: int) -> tuple:
     """A ``unitary`` trial's draws in their order: its Gaussian matrix, then its symbol.
 
-    The matrix is the one :func:`random_unitary` orthonormalizes on this
-    generator. Only :func:`_run_block` orthonormalizes it, so
+    It takes a data-dependent number of normals, so it has a stream of its
+    own, ``Generator(Philox(seed, counter=trial << 128))``, and no slot in a
+    block. The matrix is the one :func:`random_unitary` orthonormalizes on
+    this generator. Only :func:`_run_block` orthonormalizes it, so
     :func:`trial_draws` makes no QR.
     """
+    rng = np.random.Generator(np.random.Philox(seed, counter=trial << 128))
     return _complex_gaussian(dim, rng), random_symbol(band, rng)
 
 
-def _block_draws(trials, dim: int, band: int, seed: int, mode: str) -> tuple:
+def _block_draws(trials: range, dim: int, band: int, seed: int, mode: str) -> tuple:
     """The draws of diagonal-mode ``trials`` as stacks, one row per trial.
 
     Returns the resolved modes, the sequences (k, dim - 1), their
     multipliers (k, dim) and the symbols' coefficients (k, 2 * band + 1).
-    Each trial draws from its own stream,
-    ``Philox(seed, counter=trial << 128)``'s, set per trial on one keyed
-    generator by :func:`_trial_generators`. It draws in a fixed order: the sequence
-    angles (one for a constant sequence), then the real and the imaginary
-    normals of the symbol, or of its one-sided half. Only the draws are per
-    trial. The exp, the damping and the completion run once over the
-    stacks, with the operations a single trial would use, row by row, so a
-    trial gets the same bits alone or in any block.
+    Philox is counter based (Salmon et al., SC 2011), so trial t's K
+    uniforms sit at word t * K of ``Philox(seed)``, K = (dim - 1) +
+    2 * (2 * band + 1) rounded up to whole four-word counter steps, and the
+    block is one ``random((k, K))`` call after one ``advance``. Slots
+    0 .. dim - 2 give the sequence angles 2 pi u; a constant sequence reads
+    slot 0. The rest are (u1, u2) pairs, one for each n = -band .. band,
+    giving the complex normal sqrt(-2 log1p(-u1)) exp(2 pi i u2) (Box and
+    Muller, 1958); a one-sided half reads n = 0 .. band, so c(n) has one
+    slot in every mode. The exp, the damping and the completion run once
+    over the stacks, row by row, so a trial gets the same bits alone or in
+    any block.
     """
+    width = -(-(dim - 1 + 2 * (2 * band + 1)) // 4) * 4
+    bit_generator = np.random.Philox(seed)
+    bit_generator.advance(trials.start * width // 4)
+    u = np.random.Generator(bit_generator).random((len(trials), width))
     modes = [("generic", "symmetrized", "constant")[t % 3] if mode == "mixed" else mode for t in trials]
-    generic = np.array([m == "generic" for m in modes], dtype=bool)
-    angles = np.empty((len(modes), dim - 1))
-    # real and imaginary normals of each symbol, or of its one-sided half
-    full_draws = np.empty((np.count_nonzero(generic), 2, 2 * band + 1))
-    half_draws = np.empty((len(modes) - len(full_draws), 2, band + 1))
-    full_rows, half_rows = iter(full_draws), iter(half_draws)
-    for i, (rng, resolved) in enumerate(zip(_trial_generators(seed, trials), modes)):
-        if resolved == "constant":
-            angles[i] = rng.random()
-        else:
-            rng.random(out=angles[i])
-        # one (2, width) draw is the stream of two successive width draws
-        rng.standard_normal(out=next(full_rows if generic[i] else half_rows))
-    # numpy defines uniform(0, 2 pi) as 0 + 2 pi * random(), so these are its bits
-    angles *= 2.0 * np.pi
+    resolved = np.array(modes)
+    angles = 2.0 * np.pi * u[:, : dim - 1]
+    angles[resolved == "constant"] = angles[resolved == "constant", :1]
+    pairs = u[:, dim - 1 : dim - 1 + 2 * (2 * band + 1)]
+    raw = np.sqrt(-2.0 * np.log1p(-pairs[:, ::2])) * np.exp(2j * np.pi * pairs[:, 1::2])
 
     zetas = np.exp(1j * angles)
     # the multipliers of sequence_conjugation(zeta), unimodular check included
     w = squared_powers(_unimodular_rows(zetas, 1))
-    coeffs = np.empty((len(modes), 2 * band + 1), dtype=np.complex128)
-    coeffs[generic] = _damped(full_draws[:, 0] + 1j * full_draws[:, 1])
-    # c(0) and c(n) = raw_n / (1 + n) for n >= 1, completed to the negative side
-    half = half_draws[:, 0] + 1j * half_draws[:, 1]
-    half[:, 1:] /= 1.0 + np.arange(1, band + 1)
-    completed = _completed(band, np.arange(1, band + 1), half[:, 1:], w[~generic])
-    completed[:, band] = half[:, 0]
-    coeffs[~generic] = completed
+    coeffs = _damped(raw)
+    # a one-sided half keeps c(0) .. c(band) and is completed to the negative side
+    half = resolved != "generic"
+    completed = _completed(band, np.arange(1, band + 1), coeffs[half, band + 1 :], w[half])
+    completed[:, band] = coeffs[half, band]
+    coeffs[half] = completed
     return modes, zetas, w, coeffs
 
 
-def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) -> _Block:
+def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: float) -> _Block:
     """The columns of ``trials``, checked as one stack in a diagonal mode.
 
     A diagonal block draws through :func:`_block_draws` and goes through
@@ -697,8 +671,8 @@ def _run_block(trials, dim: int, band: int, seed: int, mode: str, tol: float) ->
     """
     if mode == "unitary":
         residual = []
-        for rng in _trial_generators(seed, trials):
-            z, symbol = _unitary_draws(dim, band, rng)
+        for t in trials:
+            z, symbol = _unitary_draws(dim, band, seed, t)
             op = conjugation_from_unitary(orthonormalize(z))
             residual.append(symmetry_residual(op, toeplitz_section(symbol, dim)))
         modes = [mode] * len(trials)
@@ -722,14 +696,17 @@ def trial_draws(
 
     ``zeta`` lists the sequence for indices 1 .. dim-1; a ``unitary`` trial
     draws a dense map instead and gives None. The draws come from the same
-    code as :func:`explore_symmetry`'s, so they have the bits that trial was
-    checked with: ``symmetry_report(sequence_conjugation(zeta), symbol, dim,
-    tol)`` rebuilds a diagonal trial's report.
+    code as :func:`explore_symmetry`'s, a block of one that reads the
+    trial's K uniforms at word trial * K of ``Philox(seed)``, so they have
+    the bits that trial was checked with:
+    ``symmetry_report(sequence_conjugation(zeta), symbol, dim, tol)``
+    rebuilds a diagonal trial's report.
     """
-    _check_explore(dim, band, mode)
+    trials = range(trial, trial + 1)
+    _check_explore(dim, band, mode, seed, trials)
     if mode == "unitary":
-        return None, _unitary_draws(dim, band, next(_trial_generators(seed, [trial])))[1]
-    _, zetas, _, coeffs = _block_draws([trial], dim, band, seed, mode)
+        return None, _unitary_draws(dim, band, seed, trial)[1]
+    _, zetas, _, coeffs = _block_draws(trials, dim, band, seed, mode)
     return zetas[0], LaurentSymbol(band, coeffs[0])
 
 
@@ -742,8 +719,9 @@ def run_trial(
     the record equals that trial's record in any exploration, bit for bit.
     :func:`trial_draws` gives the sequence and symbol it was checked on.
     """
-    _check_explore(dim, band, mode)
-    return _records(_run_block([trial], dim, band, seed, mode, tol))[0]
+    trials = range(trial, trial + 1)
+    _check_explore(dim, band, mode, seed, trials)
+    return _records(_run_block(trials, dim, band, seed, mode, tol))[0]
 
 
 def explore_symmetry(
@@ -763,13 +741,15 @@ def explore_symmetry(
     constant sequence, where all criteria provably coincide; ``unitary``
     draws a dense random conjugation and records the raw residual only;
     ``mixed`` cycles generic, symmetrized, constant. Trials are
-    independent: trial t draws from ``np.random.Generator(np.random.Philox(seed,
-    counter=t << 128))``, so :func:`run_trial` regenerates any record alone
-    and :func:`trial_draws` its sequence and symbol. A record holds only the
-    pair, the resolved mode and the report, as its JSON line does.
+    independent: a diagonal trial t reads its uniforms at a fixed word
+    offset of ``np.random.Philox(seed)``, and a ``unitary`` trial draws from
+    ``np.random.Generator(np.random.Philox(seed, counter=t << 128))``, so
+    :func:`run_trial` regenerates any record alone and :func:`trial_draws`
+    its sequence and symbol. A record holds only the pair, the resolved
+    mode and the report, as its JSON line does.
 
     Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``, as the
-    module docstring describes: only the seeded draws are per trial, and
+    module docstring describes: a diagonal block is one generator call, and
     each block becomes columns of values and verdicts (``_run_block``),
     from which the records are made. The ``explore`` command writes the
     same columns straight to record lines, block by block, with these
@@ -785,7 +765,7 @@ def _explore_blocks(num_trials: int, dim: int, band: int, seed: int, mode: str, 
     """:func:`explore_symmetry`'s blocks, each run as it is reached; the geometry is checked now."""
     if num_trials < 1:
         raise ValueError("need at least one trial")
-    _check_explore(dim, band, mode)
+    _check_explore(dim, band, mode, seed, range(num_trials))
     step = max(1, _STACK_ENTRIES // dim)
     return (
         _run_block(range(start, min(start + step, num_trials)), dim, band, seed, mode, tol)

@@ -767,6 +767,16 @@ class TestExploration:
         with pytest.raises(ValueError, match="0..3"):
             entrywise_condition(sym, np.ones(4), 5)
 
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1)])
+    def test_two_dimensional_multipliers_are_refused(self, shape):
+        sym = LaurentSymbol.from_pairs({1: 1.0, -1: 1.0})
+        for check in (
+            lambda w: onesided_condition(sym, w),
+            lambda w: entrywise_condition(sym, w, 5),
+        ):
+            with pytest.raises(ValueError, match="expected a 1-D multiplier array, got shape"):
+                check(np.ones(shape).tolist())
+
     def test_sequence_multipliers_squared_powers(self):
         zeta = np.array([1j, np.exp(1j * np.pi / 4.0)])
         w = sequence_multipliers(zeta, 3)
@@ -796,35 +806,55 @@ def same_draws(got, expected):
 
 
 def trial_stream(seed, trial):
-    """Trial ``trial``'s generator for ``seed``, from numpy's public Philox constructor."""
+    """A ``unitary`` trial's generator for ``seed``, from numpy's public Philox constructor."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=trial << 128))
+
+
+def trial_uniforms(seed, trial, dim, band):
+    """A diagonal trial's K uniforms, read alone with numpy's public Philox API.
+
+    K is (dim - 1) + 2 (2 band + 1), rounded up to a multiple of 4, and the
+    trial's row starts at word trial * K of ``Philox(seed)``.
+    """
+    width = dim - 1 + 2 * (2 * band + 1)
+    width += -width % 4
+    bit_generator = np.random.Philox(seed)
+    bit_generator.advance(trial * width // 4)
+    return np.random.Generator(bit_generator).random(width)
+
+
+def box_muller(u, dim, band):
+    """The complex normals of n = -band .. band from a row's (u1, u2) pairs."""
+    u1 = u[..., dim - 1 :: 2][..., : 2 * band + 1]
+    u2 = u[..., dim :: 2][..., : 2 * band + 1]
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
 
 
 def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFAULT_TOL):
     """Diagonal-mode explore records, and their (zeta, symbol) draws, built trial by trial.
 
-    The reference for explore's block draws. Each trial draws from
-    :func:`trial_stream`: its angles
-    with ``rng.uniform`` and forms its sequence with ``np.exp`` of them
-    (``np.full`` of one value when constant), and its symbol as
-    ``1.0 * raw / (1 + |n|)``, or its one-sided half damped in place; the
-    halves are then completed and each trial checked alone.
+    The reference for explore's block draws. Each trial reads its own row
+    with :func:`trial_uniforms`: the first dim - 1 uniforms give its angles
+    2 pi u (the first alone for a constant sequence), the pairs after them
+    its normals by :func:`box_muller`. A generic symbol is
+    ``1.0 * raw / (1 + |n|)``; a one-sided half keeps n >= 0, damped in
+    place, and the halves are then completed and each trial checked alone.
     """
     modes, zetas, symbols = [], [], []
     for trial in trials:
         resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
-        rng = trial_stream(seed, trial)
+        u = trial_uniforms(seed, trial, dim, band)
+        angles = 2.0 * np.pi * u[: dim - 1]
         if resolved == "constant":
-            zetas.append(np.full(dim - 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))))
-        else:
-            zetas.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1)))
+            angles[:] = angles[0]
+        zetas.append(np.exp(1j * angles))
+        raw = box_muller(u, dim, band)
         if resolved == "generic":
             n = np.arange(-band, band + 1)
-            raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
             symbols.append(LaurentSymbol(band, 1.0 * raw / (1.0 + np.abs(n))))
         else:
-            raw = rng.standard_normal(band + 1) + 1j * rng.standard_normal(band + 1)
+            raw = raw[band:]
             raw[1:] /= 1.0 + np.arange(1, band + 1)
             symbols.append(raw)
         modes.append(resolved)
@@ -983,7 +1013,7 @@ class TestExplorationBlocks:
 
 
 class TestTrialSeeding:
-    """Explore keys one Philox generator per block; trial t's stream starts at counter t << 128."""
+    """A diagonal trial t reads K uniforms at word t * K of Philox(seed); a unitary one has its own counter."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 3, 10**40])
     @pytest.mark.parametrize(
@@ -991,40 +1021,52 @@ class TestTrialSeeding:
         [[0], [1], [2**64 + 1], [2**128 - 1], range(40), [5, 2**32, 0, 2**128 - 1, 2**64 + 1, 1]],
     )
     def test_generators_are_numpys(self, seed, trials):
-        generators = hardyconj.toeplitz._trial_generators(seed, trials)
-        for count, (t, rng) in enumerate(zip(trials, generators), 1):
-            ref = trial_stream(seed, t)
-            assert rng.random(3).tobytes() == ref.random(3).tobytes(), t
-            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes(), t
-            # an odd count of 32-bit draws leaves a spare word the next trial must not see
-            assert rng.integers(2**32, size=3, dtype=np.uint32).tobytes() == (
-                ref.integers(2**32, size=3, dtype=np.uint32).tobytes()
-            ), t
-        assert count == len(trials)
+        # every trial's draws come from its own row of numpy's Philox words,
+        # whatever trials come before it
+        _, draws = per_trial_records(trials, 24, 4, seed, "mixed")
+        for t, expected in zip(trials, draws):
+            same_draws(trial_draws(t, 24, 4, seed=seed), expected)
+        if isinstance(trials, range):
+            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
+            for zeta, c, expected in zip(zetas, coeffs, draws):
+                same_draws((zeta, LaurentSymbol(4, c)), expected)
 
     @pytest.mark.parametrize(
         "seed, trial, words",
-        [(1, 0, [0x1119EFBD6BC0CE3A, 0x143A31DF2C79CF7E]),
-         (10**40, 2**64 + 1, [0x1040C18B16ECD930, 0x090F25056F54C438])],
+        [(1, 0, {"dim": 24, "band": 4, "width": 44,
+                 "raw": [0x1119EFBD6BC0CE3A, 0x143A31DF2C79CF7E],
+                 "uniforms": [0.0668020093396563, 0.07901298235490295]}),
+         (10**40, 2**64 + 1, {"dim": 5, "band": 2, "width": 16,
+                              "raw": [0xA783118AAE1A0D62, 0xCBD1B8519C550DDA],
+                              "uniforms": [0.6543436969351221, 0.7961688231701666]})],
     )
     def test_stream_is_pinned(self, seed, trial, words):
-        # numpy keeps Philox's stream fixed, so only a change of key or
-        # counter layout moves these words, and with them every seeded record
-        rng = next(hardyconj.toeplitz._trial_generators(seed, [trial]))
-        assert rng.bit_generator.random_raw(2).tolist() == words
-        assert trial_stream(seed, trial).bit_generator.random_raw(2).tolist() == words
+        # numpy keeps Philox's stream fixed, so only a change of key or row
+        # layout moves these words, and with them every seeded record
+        dim, band = words["dim"], words["band"]
+        bit_generator = np.random.Philox(seed)
+        bit_generator.advance(trial * words["width"] // 4)
+        assert bit_generator.random_raw(2).tolist() == words["raw"]
+        uniforms = trial_uniforms(seed, trial, dim, band)
+        assert uniforms[:2].tolist() == words["uniforms"]
+        # the first two slots are the sequence's first two angles
+        zeta, _ = trial_draws(trial, dim, band, seed=seed, mode="generic")
+        expected = np.exp(1j * (2.0 * np.pi * np.array(words["uniforms"])))
+        assert zeta[:2].tobytes() == expected.tobytes()
 
     def test_large_seeds_and_trials_replay(self):
-        trials, seed = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1], 10**40
+        trials, seed = [2, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1], 10**40
         reference, draws = per_trial_records(trials, 24, 4, seed, "mixed")
-        block = hardyconj.toeplitz._run_block(trials, 24, 4, seed, "mixed", reference[0].report.tol)
-        records = hardyconj.toeplitz._records(block)
-        _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
-        for i, t in enumerate(trials):
-            same_record(records[i], reference[i])
-            same_record(run_trial(t, 24, 4, seed=seed), reference[i])
-            same_draws(trial_draws(t, 24, 4, seed=seed), draws[i])
-            same_draws((zetas[i], LaurentSymbol(4, coeffs[i])), draws[i])
+        tol = reference[0].report.tol
+        for t, expected, expected_draws in zip(trials, reference, draws):
+            # a block that ends at t, as explore's last block before it would
+            block = range(t - 2, t + 1)
+            same_record(hardyconj.toeplitz._records(
+                hardyconj.toeplitz._run_block(block, 24, 4, seed, "mixed", tol))[-1], expected)
+            same_record(run_trial(t, 24, 4, seed=seed), expected)
+            same_draws(trial_draws(t, 24, 4, seed=seed), expected_draws)
+            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(block, 24, 4, seed, "mixed")
+            same_draws((zetas[-1], LaurentSymbol(4, coeffs[-1])), expected_draws)
 
     @pytest.mark.parametrize("mode", EXPLORE_MODES)
     def test_negative_seed_or_trial_is_numpys_error(self, mode):
@@ -1037,18 +1079,29 @@ class TestTrialSeeding:
             lambda: trial_draws(-1, 8, 2, seed=3, mode=mode),
             lambda: trial_draws(0, 8, 2, seed=-1, mode=mode),
             lambda: explore_symmetry(3, 8, 2, seed=-1, mode=mode),
-            lambda: next(hardyconj.toeplitz._trial_generators(3, [0, 1, -1])),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize("seed", [3.0, [1, 2]])
+    def test_seed_must_be_an_int(self, seed):
+        # numpy's Philox would take a sequence of ints, and a record's seed pair would hold it
+        for mode in EXPLORE_MODES:
+            for call in (
+                lambda: run_trial(0, 8, 2, seed=seed, mode=mode),
+                lambda: trial_draws(0, 8, 2, seed=seed, mode=mode),
+                lambda: explore_symmetry(3, 8, 2, seed=seed, mode=mode),
+            ):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    call()
 
     @pytest.mark.parametrize("mode", EXPLORE_MODES)
     def test_trial_beyond_the_counter_is_refused(self, mode):
         for call in (
             lambda: run_trial(2**128, 8, 2, seed=3, mode=mode),
             lambda: trial_draws(2**128, 8, 2, seed=3, mode=mode),
-            # a block is checked whole before its first trial is given
-            lambda: next(hardyconj.toeplitz._trial_generators(3, [0, 1, 2**128])),
+            # an exploration is checked whole before its first trial is drawn
+            lambda: hardyconj.toeplitz._explore_blocks(2**128 + 1, 8, 2, 3, mode, 1e-10),
         ):
             with pytest.raises(ValueError, match="2\\*\\*128"):
                 call()
@@ -1066,3 +1119,54 @@ class TestTrialSeeding:
         # the record still orthonormalizes its draw
         with pytest.raises(AssertionError, match="QR"):
             run_trial(0, dim, band, seed=19, mode="unitary")
+
+
+def block_normals(monkeypatch, trials, dim, band, seed, mode):
+    """``_block_draws`` of a block, and the complex normals it drew, before damping."""
+    seen, damped = [], hardyconj.toeplitz._damped
+    monkeypatch.setattr(hardyconj.toeplitz, "_damped", lambda raw: seen.append(raw.copy()) or damped(raw))
+    draws = hardyconj.toeplitz._block_draws(trials, dim, band, seed, mode)
+    monkeypatch.undo()
+    (raw,) = seen
+    return draws, raw
+
+
+class TestDrawDistribution:
+    """A block's normals are the Box-Muller transform of its uniforms, standard in law."""
+
+    @pytest.mark.parametrize("dim, band", [(24, 4), (2, 1), (300, 7)])
+    def test_normals_are_box_muller_of_the_uniforms(self, monkeypatch, dim, band):
+        trials = range(5, 45)
+        _, raw = block_normals(monkeypatch, trials, dim, band, 7, "generic")
+        expected = np.stack([box_muller(trial_uniforms(7, t, dim, band), dim, band) for t in trials])
+        assert raw.shape == (len(trials), 2 * band + 1)
+        assert raw.tobytes() == expected.tobytes()
+
+    def test_normals_and_angles_have_their_moments(self, monkeypatch):
+        (_, zetas, _, _), raw = block_normals(monkeypatch, range(1112), 24, 4, 11, "generic")
+        x, y = raw.real.ravel(), raw.imag.ravel()
+        n = x.size
+        assert n >= 10_000
+        for part in (x, y):
+            assert abs(part.mean()) < 5.0 / np.sqrt(n)
+            # the sample variance of n standard normals has standard error sqrt(2 / n)
+            assert abs(part.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+        # x y has mean 0 and variance 1 when the parts are independent standard normals
+        assert abs(np.mean(x * y)) < 5.0 / np.sqrt(n)
+        angles = np.mod(np.angle(zetas), 2.0 * np.pi).ravel()
+        # uniform angles on [0, 2 pi) have standard deviation 2 pi / sqrt(12)
+        assert abs(angles.mean() - np.pi) < 5.0 * 2.0 * np.pi / np.sqrt(12.0 * angles.size)
+
+    @pytest.mark.parametrize("mode", ["symmetrized", "constant"])
+    def test_onesided_half_is_the_generic_draw(self, monkeypatch, mode):
+        dim, band, trials = 24, 4, range(3, 9)
+        (_, generic_zetas, _, generic), generic_raw = block_normals(
+            monkeypatch, trials, dim, band, 23, "generic")
+        (_, zetas, _, coeffs), raw = block_normals(monkeypatch, trials, dim, band, 23, mode)
+        # c(n) has one slot in every mode, so the half is the generic row's n >= 0
+        assert raw[:, band + 1 :].tobytes() == generic_raw[:, band + 1 :].tobytes()
+        assert coeffs[:, band:].tobytes() == generic[:, band:].tobytes()
+        if mode == "constant":
+            assert (zetas == generic_zetas[:, :1]).all()
+        else:
+            assert zetas.tobytes() == generic_zetas.tobytes()
