@@ -64,10 +64,15 @@ def unimodular(values, start_index: int = 0) -> np.ndarray:
     ``start_index`` sets the index reported in the error message; the
     squared-sequence family is conventionally indexed from 1.
     """
+    return _unimodular_rows(_sequence(values), start_index)
+
+
+def _sequence(values) -> np.ndarray:
+    """``values`` as a 1-D complex array, a scalar as one entry."""
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {v.shape}")
-    return _unimodular_rows(v, start_index)
+    return v
 
 
 def _unimodular_rows(v: np.ndarray, start_index: int) -> np.ndarray:
@@ -116,13 +121,13 @@ def squared_powers(zeta) -> np.ndarray:
 
     ``zeta`` is indexed from 1, so ``zeta[j]`` is the entry for n = j + 1.
     A (k, n) stack gives one row of multipliers per sequence, each equal to
-    the result for that row alone. No unimodularity check is performed here.
-    From exponent 100 on a power comes from an exactly split angle instead
-    of libm ``cpow``, so its phase error does not grow as n * eps. There
-    an entry with a part above about 1e150 gives NaN where ``cpow`` gave
-    an overflowed inf.
+    the result for that row alone. Every entry is checked and renormalized
+    as by :func:`unimodular`, indices counted from 1, so an entry off the
+    unit circle is refused. From exponent 100 on a power comes from the
+    phase alone, through an exactly split angle instead of libm ``cpow``,
+    so neither its phase nor its modulus error grows as n * eps.
     """
-    z = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
+    z = _unimodular_rows(np.atleast_1d(np.asarray(zeta, dtype=np.complex128)), 1)
     powers = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
     powers[..., 0] = 1.0
     powers[..., 1:] = _unit_powers(z, 2 * np.arange(1, z.shape[-1] + 1))
@@ -130,31 +135,30 @@ def squared_powers(zeta) -> np.ndarray:
 
 
 def _unit_powers(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``z ** e`` along the last axis, for nondecreasing integer exponents ``e >= 0``.
+    """``z ** e`` along the last axis, for unimodular ``z`` and nondecreasing integers ``e >= 0``.
 
     ``z`` is a 1-D array or a (k, len(e)) stack, or has length one and is
     raised to every exponent. Below ``_REPEATED_POWER_LIMIT`` the result is
     ``z ** e`` bit for bit, so exact products such as 1j ** 2 == -1 stay
-    exact. From the limit on it is exp(e log|z|) * exp(i e theta_hi) *
-    exp(i e theta_lo), with arg z split by :func:`_split_angle`: e * theta_hi
-    is exact and only the small e * theta_lo is rounded, whereas ``cpow``
-    rounds the whole phase e * theta to about e * eps. The powers of one z
-    thus stay a geometric sequence to roundoff.
+    exact. From the limit on it is exp(i e theta_hi) * exp(i e theta_lo),
+    with arg z split by :func:`_split_angle`: e * theta_hi is exact and
+    only the small e * theta_lo is rounded, whereas ``cpow`` rounds the
+    whole phase e * theta to about e * eps and raises the rounding error of
+    |z| to the power e. |z| is taken to be one there, so the powers of one
+    z stay a geometric sequence on the unit circle to roundoff.
     """
     z = np.broadcast_to(z, z.shape[:-1] + e.shape)
     split = int(np.searchsorted(e, _REPEATED_POWER_LIMIT))
     powers = np.empty(z.shape, dtype=np.complex128)
     powers[..., :split] = z[..., :split] ** e[:split]
     if split < e.size:
-        z, e = z[..., split:], e[split:]
-        modulus = np.exp(e * _log_modulus(z))
-        hi, lo = _split_angle(z)
-        big, turn = powers[..., split:], np.empty(z.shape, dtype=np.complex128)
+        e = e[split:]
+        hi, lo = _split_angle(z[..., split:])
+        big, turn = powers[..., split:], np.empty(hi.shape, dtype=np.complex128)
         for angle, out in ((e * hi, big), (e * lo, turn)):
             np.cos(angle, out=out.real)
             np.sin(angle, out=out.imag)
         big *= turn
-        big *= modulus
     return powers
 
 
@@ -165,62 +169,16 @@ def _split_angle(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, theta - hi
 
 
-def _log_modulus(z: np.ndarray) -> np.ndarray:
-    """log|z| as log1p(x**2 + y**2 - 1) / 2, that argument formed to about eps**2.
-
-    A rounded |z| is off by up to eps relative, which |z|**e grows to
-    e * eps. Near the unit circle x**2 + y**2 - 1 is tiny, so it is summed
-    without rounding from the exact squares: Fast2Sum of the two leading
-    parts gives s + t exactly, s - 1 is exact for s in [1/2, 2] (Sterbenz),
-    and only the tails, near eps**2, are rounded. Meant for moduli near
-    one; a zero entry gives log 0 = -inf.
-    """
-    px, qx = _exact_square(z.real)
-    py, qy = _exact_square(z.imag)
-    qx += qy
-    # in place: s = a + b, t = b - (s - a) with a, b the larger and smaller square
-    a = np.maximum(px, py)
-    t = np.minimum(px, py, out=py)
-    s = np.add(a, t, out=px)
-    a -= s
-    t += a
-    t += qx
-    s -= 1.0
-    s += t
-    return 0.5 * np.log1p(s)
-
-
-def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) with p = fl(x * x) and p + q == x * x exactly.
-
-    Dekker's product on Veltkamp's split of x into two 26-bit halves
-    (Dekker, "A floating-point technique for extending the available
-    precision", Numer. Math. 18, 1971). Needs |x| below about 1e150.
-    """
-    hi = 134217729.0 * x  # 2**27 + 1
-    hi -= hi - x
-    lo = x - hi
-    p = x * x
-    # q = ((hi * hi - p) + 2 * hi * lo) + lo * lo, in place to bound the temporaries
-    q = hi * hi
-    q -= p
-    hi *= 2.0
-    hi *= lo
-    q += hi
-    lo *= lo
-    q += lo
-    return p, q
-
-
 def sequence_conjugation(zeta) -> AntilinearMap:
     """Conjugation with multiplier conj(zeta_n ** (2n)) on coefficient n.
 
     ``zeta`` lists the unimodular entries for indices 1 .. N-1; the result
-    acts on dimension N = len(zeta) + 1, with multiplier 1 at n = 0. A
-    constant sequence with value w reduces to ``rotation_conjugation(w**2)``.
+    acts on dimension N = len(zeta) + 1, with multiplier 1 at n = 0. It is
+    passed as given to :func:`squared_powers`, which checks and
+    renormalizes it once. A constant sequence with value w reduces to
+    ``rotation_conjugation(w**2)``.
     """
-    z = unimodular(zeta, start_index=1)
-    return AntilinearMap(np.conj(squared_powers(z)))
+    return AntilinearMap(np.conj(squared_powers(_sequence(zeta))))
 
 
 def sequence_unitary(zeta) -> np.ndarray:
@@ -228,9 +186,10 @@ def sequence_unitary(zeta) -> np.ndarray:
 
     Its columns are the rescaled orthonormal basis {1, zeta_1 z,
     zeta_2^2 z^2, ...}; feeding it to :func:`conjugation_from_unitary`
-    reproduces :func:`sequence_conjugation` on the same sequence. The
-    powers come from the split-angle path of :func:`squared_powers`, so the
-    two stay within roundoff of each other at any N.
+    reproduces :func:`sequence_conjugation` on the same sequence. Its
+    powers follow the rule of :func:`squared_powers`, from the phase alone
+    from exponent 100 on, so the two stay within roundoff of each other,
+    and on the unit circle, at any N.
     """
     z = unimodular(zeta, start_index=1)
     return np.diag(np.concatenate(([1.0 + 0.0j], _unit_powers(z, np.arange(1, z.size + 1)))))

@@ -51,12 +51,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .conjugations import (
     _complex_gaussian,
-    _unimodular_rows,
+    _sequence,
     conjugation_from_unitary,
     orthonormalize,
     rotation_conjugation,
     squared_powers,
-    unimodular,
 )
 from .core import _STACK_ENTRIES, DEFAULT_TOL, AntilinearMap, frobenius_norm
 
@@ -330,14 +329,15 @@ def _offset_criteria(coeffs, w, d):
 def sequence_multipliers(zeta, count: int) -> np.ndarray:
     """Multipliers zeta_n ** (2n) for n = 0 .. count-1 (1 at n = 0).
 
-    ``zeta`` is indexed from 1 and must cover indices 1 .. count-1.
+    ``zeta`` is indexed from 1 and must cover indices 1 .. count-1. It is
+    passed as given to :func:`squared_powers`, which checks every entry.
     """
-    z = unimodular(zeta, start_index=1)
-    if z.size < count - 1:
+    w = squared_powers(_sequence(zeta))
+    if w.size < count:
         raise ValueError(
-            f"sequence covers indices 1..{z.size}, need 1..{count - 1}"
+            f"sequence covers indices 1..{w.size - 1}, need 1..{count - 1}"
         )
-    return squared_powers(z[: count - 1])
+    return w[:count]
 
 
 def diagonal_multipliers(op: AntilinearMap) -> np.ndarray:
@@ -649,7 +649,7 @@ def _block_draws(trials: range, dim: int, band: int, seed: int, mode: str) -> tu
 
     zetas = np.exp(1j * angles)
     # the multipliers of sequence_conjugation(zeta), unimodular check included
-    w = squared_powers(_unimodular_rows(zetas, 1))
+    w = squared_powers(zetas)
     coeffs = _damped(raw)
     # a one-sided half keeps c(0) .. c(band) and is completed to the negative side
     half = resolved != "generic"

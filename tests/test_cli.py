@@ -64,6 +64,16 @@ class TestCheckConjugation:
         assert report["results"]["passed"] is True
         assert "runtime_ms" in report
 
+    def test_large_rotation_passes(self, capsys):
+        # the largest exponent is 65535: |lam**n| must stay 1 to roundoff
+        code, out, _ = run(
+            ["check-conjugation", "--kind", "lambda", "--theta", "0.7", "--n", "65536",
+             "--trials", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert stdout_json(out)["results"]["a_unitarity_residual"] <= 1e-12
+
     def test_constant_quarter_turn_sequence_passes(self, capsys):
         code, out, _ = run(
             [

@@ -190,22 +190,26 @@ class TestSequenceConjugation:
             sequence_conjugation([1j, 1.5])
 
 
-def exact_powers(z, e):
-    """z ** e entrywise at 200 bits, rounded to complex128 at the end.
+def exact_phase_powers(z, e):
+    """exp(i e arg z) entrywise at 200 bits, rounded to complex128 at the end.
 
-    A sequence with one repeated value takes a running product of z ** 2
-    instead of one power per entry, which is the same number far sooner.
+    The power of a unimodular value is its phase power: a renormalized z
+    has modulus one up to an ulp, which z ** e would raise to the power e.
+    A sequence with one repeated value takes a running product of
+    exp(2i arg z) instead of one exponential per entry, which is the same
+    number far sooner.
     """
     with mpmath.workprec(200):
         if np.all(z == z[0]) and np.array_equal(e, 2 * np.arange(1, z.size + 1)):
-            step = mpmath.mpc(complex(z[0])) ** 2
+            step = mpmath.expj(2 * mpmath.arg(mpmath.mpc(complex(z[0]))))
             w = mpmath.mpc(1)
             out = []
             for _ in e:
                 w *= step
                 out.append(complex(w))
             return np.array(out)
-        return np.array([complex(mpmath.mpc(complex(a)) ** int(k)) for a, k in zip(z, e)])
+        phases = (mpmath.arg(mpmath.mpc(complex(a))) for a in z)
+        return np.array([complex(mpmath.expj(int(k) * t)) for t, k in zip(phases, e)])
 
 
 class TestUnitPowers:
@@ -232,7 +236,7 @@ class TestUnitPowers:
         theta = rng.uniform(0.0, 2.0 * np.pi, 1 if constant else dim - 1)
         z = unimodular(np.broadcast_to(np.exp(1j * theta), dim - 1))
         e = 2 * np.arange(1, dim)
-        exact = exact_powers(z, e)
+        exact = exact_phase_powers(z, e)
         error = np.max(np.abs(squared_powers(z)[1:] - exact))
         cpow_error = np.max(np.abs(z**e - exact))  # numpy's power, libm cpow from e = 100
         assert error <= cpow_error
@@ -249,11 +253,14 @@ class TestUnitPowers:
                 assert Fraction(e * h) == e * Fraction(h)
 
     def test_off_the_circle_keeps_its_meaning(self):
-        rng = np.random.default_rng(5)
-        n = 300
-        z = rng.uniform(0.99, 1.01, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-        exact = exact_powers(z, 2 * np.arange(1, n + 1))
-        assert np.max(np.abs(squared_powers(z)[1:] - exact) / np.abs(exact)) <= 1e-12
+        for modulus in (0.99, 1.01):
+            z = np.exp(1j * np.linspace(0.0, 6.0, 300))
+            z[150] *= modulus
+            message = f"has modulus {modulus}, expected 1 within 1e-12"
+            with pytest.raises(ValueError, match=f"entry at index 151 {message}"):
+                squared_powers(z)
+            with pytest.raises(ValueError, match=f"entry at index 1 {message}"):
+                squared_powers(np.broadcast_to(modulus * z[:1], (2, 300)))
 
 
 class TestSequenceUnitary:
@@ -335,6 +342,25 @@ class TestVerifyConjugation:
         assert cert.passed
         assert cert.isometry_residual <= 1e-10
         assert cert.involution_residual <= 1e-10
+
+    @pytest.mark.parametrize("dim", [16384, 65536])
+    def test_large_rotation_passes_on_the_unit_circle(self, dim):
+        # |w_n| off 1 by about n * eps would give a unitarity residual near
+        # N**1.5 * eps, above the 1e-10 tolerance at these sizes
+        for theta in (0.7, 1.0, 3.0):
+            op = rotation_conjugation(np.exp(1j * theta), dim)
+            cert = verify_conjugation(op, trials=1)
+            assert cert.passed and cert.a_unitarity_residual <= 1e-12, theta
+            assert np.max(np.abs(np.abs(op.diagonal) - 1.0)) <= 1e-13, theta
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["generic", "constant"])
+    @pytest.mark.parametrize("dim", [8192, 16384])
+    def test_large_sequence_passes_on_the_unit_circle(self, dim, constant):
+        theta = np.random.default_rng(dim).uniform(0.0, 2.0 * np.pi, 1 if constant else dim - 1)
+        op = sequence_conjugation(np.broadcast_to(np.exp(1j * theta), dim - 1))
+        cert = verify_conjugation(op, trials=1)
+        assert cert.passed and cert.a_unitarity_residual <= 1e-12
+        assert np.max(np.abs(np.abs(op.diagonal) - 1.0)) <= 1e-13
 
     def test_scaling_fails_isometry_and_unitarity(self):
         cert = verify_conjugation(AntilinearMap(2.0 * np.eye(4)), trials=20, seed=1)

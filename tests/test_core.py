@@ -1,5 +1,8 @@
 """Unit tests for the coefficient-space primitives."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,10 @@ class TestPublicApi:
         for module in modules:
             for name in module.__all__:
                 assert getattr(hardyconj, name) is getattr(module, name), name
+
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+        assert match is not None
+        assert hardyconj.__version__ == match.group(1)
