@@ -7,6 +7,6 @@ from .conjugations import *  # noqa: F403
 from .core import *  # noqa: F403
 from .toeplitz import *  # noqa: F403
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = core.__all__ + conjugations.__all__ + toeplitz.__all__

@@ -15,8 +15,11 @@ which splits into one condition per offset p = j - k of the symbol's
 band: c(p) * w[k + p] == c(-p) * w[k] for 0 <= k < N - p. A diagonal map
 is therefore checked offset by offset, in O(N * M) time and O(N) memory
 with no section built: :func:`symmetry_report` and
-:func:`entrywise_condition`. The dense section with :func:`symmetry_residual`
-stays the oracle, and is what a dense conjugation gets.
+:func:`entrywise_condition`. The differences of each offset are formed
+once; the entrywise violation is their max norm and the residual sqrt(2)
+times their Frobenius norm, so a residual within tol implies an entrywise
+violation within tol. The dense section with :func:`symmetry_residual`
+stays the independent oracle, and is what a dense conjugation gets.
 
 The classical one-sided criterion reads c(n) * w_n == c(-n) for n >= 0.
 It coincides with the entrywise one whenever w is multiplicative in the
@@ -25,9 +28,9 @@ in general; :func:`explore_symmetry` measures how often they disagree
 against the operator-residual oracle.
 
 The diagonal checks are two private functions on stacks whose leading
-axis is the trial: coefficients (k, 2M + 1), multipliers and diagonals
-(k, N). The public functions call them with a stack of one;
-:func:`explore_symmetry` calls them once per block of at most
+axis is the trial: coefficients (k, 2M + 1) and multipliers (k, N). The
+public functions call them with a stack of one; :func:`explore_symmetry`
+calls them once per block of at most
 ``max(1, _STACK_ENTRIES // N)`` trials (``core._STACK_ENTRIES`` = 2**16
 complex entries, 1 MiB per stacked array). Trial t of seed s reads K
 uniforms from word t * K of the counter-based ``np.random.Philox(s)``
@@ -278,20 +281,20 @@ def _onesided_violation(coeffs, w):
     return np.hypot(gap.real, gap.imag).max(axis=1)
 
 
-def _offset_criteria(coeffs, w, d):
-    """The entrywise check and the residual of a diagonal map, for a stack of k trials.
+def _offset_criteria(coeffs, w):
+    """The entrywise violation and the residual of a diagonal map, for a stack of k trials.
 
-    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M); the
-    multipliers ``w`` and the factor's diagonal ``d`` are (k, N). Returns
-    (entrywise, residual) as (k,) float arrays: the largest
-    |w[k+p] c(p) - w[k] c(-p)| over offsets p = 1 .. min(M, N - 1), and the
-    Frobenius norm of D conj(T) - T^H D, sqrt(2 * sum |d[k+p] conj(c(p)) -
-    conj(c(-p)) d[k]|^2) over the same offsets. The two are separate
-    computations, from w and c and from d and conj(c), so their verdicts
-    cross-check each other. Each offset is one set of array operations over
-    the whole stack, written into work arrays of O(k * N) entries that are
-    allocated once per call. Rows never mix, so a row's results have the
-    same bits whatever else is stacked with it.
+    ``coeffs`` is (k, 2M + 1), row i holding c_i(-M) .. c_i(M), and the
+    multipliers ``w`` are (k, N). Each offset p = 1 .. min(M, N - 1) forms
+    x = w[k+p] c(p) - w[k] c(-p) once. For the diagonal d = conj(w) d_0,
+    entries (k + p, k) and (k, k + p) of D conj(T) - T^H D are d_0 conj(x)
+    and -d_0 conj(x), and offset 0 vanishes. So (entrywise, residual), as
+    (k,) float arrays, are two norms of one array, max |x| and
+    sqrt(2 * sum |x|^2): residual >= sqrt(2) * entrywise up to the rounding
+    of the sum, wherever |x|^2 does not underflow. Each offset is one set
+    of array operations over the whole stack, in work arrays of O(k * N)
+    entries allocated once per call. Rows never mix, so a row's results
+    have the same bits whatever else is stacked with it.
     """
     k, dim = w.shape
     band = coeffs.shape[1] // 2
@@ -299,8 +302,6 @@ def _offset_criteria(coeffs, w, d):
     # column p of plus / minus is c(p) / c(-p) for p = 0 .. band, shaped (k, 1)
     plus = coeffs[:, band:, None]
     minus = coeffs[:, band::-1, None]
-    conj = np.conj(coeffs)
-    conj_plus, conj_minus = conj[:, band:, None], conj[:, band::-1, None]
     # reused across offsets: at large N a fresh temporary per operation is
     # paged in anew each time
     x_work = np.empty((k, dim - 1), dtype=np.complex128)
@@ -317,9 +318,6 @@ def _offset_criteria(coeffs, w, d):
         np.subtract(x, y, x)
         # the vector abs, as in the dense section reference
         np.abs(x, real_work[:, :n]).max(axis=1, out=peaks[:, p])
-        np.multiply(d[:, p:], conj_plus[:, p], x)
-        np.multiply(conj_minus[:, p], d[:, :n], y)
-        np.subtract(x, y, x)
         # square, then sum along rows: unlike einsum, or a sum down a
         # column, this gives a row the same bits at any stack height
         np.square(x_parts[:, : 2 * n], real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
@@ -408,8 +406,7 @@ def entrywise_condition(
         raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    w = w[None, :dim]
-    violation = float(_offset_criteria(symbol.coeffs[None], w, np.conj(w))[0][0])
+    violation = float(_offset_criteria(symbol.coeffs[None], w[None, :dim])[0][0])
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -473,7 +470,9 @@ class SymmetryReport:
     ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
     one-sided criterion; ``agree`` records whether that verdict matches
     the residual oracle at the same tolerance. The entrywise fields hold
-    the two-index criterion. All three condition fields are None for a
+    the two-index criterion, the max norm of the array whose Frobenius
+    norm times sqrt(2) is the residual, so ``residual >=
+    entrywise_violation``. All three condition fields are None for a
     dense factor (``op.diagonal is None``), even a diagonal one such as
     ``AntilinearMap(np.diag(d))``; build ``AntilinearMap(d)`` from the
     vector to get the criteria.
@@ -498,14 +497,15 @@ def symmetry_report(
     symbol's offsets in O(dim * band), with no section: the one-sided gap
     as :func:`onesided_condition` takes it, and the entrywise violation and
     the residual from one call of the offset kernel behind
-    :func:`entrywise_condition`, two computations whose verdicts
-    cross-check each other. A dense factor, even a diagonal one such as
-    ``AntilinearMap(np.diag(d))``, gets the section and the dense
-    :func:`symmetry_residual` over all of it, and no criteria. The report
-    has no window; a caller that wants a trimmed one for a banded dense
-    map calls :func:`symmetry_residual` with it. The report is the one row
-    of a block of :func:`explore_symmetry`'s kind, so its verdicts follow
-    explore's rule.
+    :func:`entrywise_condition`: the max norm and sqrt(2) times the
+    Frobenius norm of one array, so where the two verdicts differ the
+    entrywise one passes what the residual rejects. A dense factor, even a
+    diagonal one such as ``AntilinearMap(np.diag(d))``, gets the section
+    and the dense :func:`symmetry_residual` over all of it, and no
+    criteria. The report has no window; a caller that wants a trimmed one
+    for a banded dense map calls :func:`symmetry_residual` with it. The
+    report is the one row of a block of :func:`explore_symmetry`'s kind,
+    so its verdicts follow explore's rule.
     """
     if symbol.band > dim - 1:
         raise ValueError(f"band {symbol.band} exceeds dim - 1 = {dim - 1}")
@@ -514,10 +514,9 @@ def symmetry_report(
     if op.diagonal is None:
         residual = np.array([symmetry_residual(op, toeplitz_section(symbol, dim))])
         return _reports(_columns(tol, residual))[0]
-    d = op.diagonal[None]
-    w = _multipliers(d)
+    w = _multipliers(op.diagonal[None])
     coeffs = symbol.coeffs[None]
-    ent, res = _offset_criteria(coeffs, w, d)
+    ent, res = _offset_criteria(coeffs, w)
     return _reports(_columns(tol, res, _onesided_violation(coeffs, w), ent))[0]
 
 
@@ -663,9 +662,9 @@ def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: fl
     """The columns of ``trials``, checked as one stack in a diagonal mode.
 
     A diagonal block draws through :func:`_block_draws` and goes through
-    the offset kernel once, with the drawn multipliers w as they are and
-    conj(w) as the diagonal; a ``unitary`` trial is drawn and checked on
-    its own, and has no criteria. The block's stacks are freed on return:
+    the offset kernel once, with the drawn multipliers w as they are (the
+    diagonal is conj(w)); a ``unitary`` trial is drawn and checked on its
+    own, and has no criteria. The block's stacks are freed on return:
     the columns hold Python values only, and every consumer (records,
     report lines, summary) reads its verdicts from them.
     """
@@ -678,7 +677,7 @@ def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: fl
         modes = [mode] * len(trials)
         return _columns(tol, np.array(residual), trials=trials, modes=modes, seed=seed)
     modes, _, w, coeffs = _block_draws(trials, dim, band, seed, mode)
-    ent, res = _offset_criteria(coeffs, w, np.conj(w))
+    ent, res = _offset_criteria(coeffs, w)
     return _columns(tol, res, _onesided_violation(coeffs, w), ent,
                     trials=trials, modes=modes, seed=seed)
 

@@ -663,6 +663,18 @@ class TestExplore:
         assert code == 1
         assert summary["entrywise_mismatch_trials"] == []
 
+    def test_entrywise_never_fails_what_the_residual_passes(self, tmp_path, capsys):
+        # trial 17 is constant, so provably symmetric, and both its values are
+        # within roundoff of the tol; as two norms of one array they cannot put
+        # the residual under the tol and the entrywise violation over it
+        code, out, _ = run(
+            ["explore", "--n", "8", "--band", "2", "--seed", "48", "--trials", "18",
+             "--tol", "1e-16", "--out", str(tmp_path / "r.jsonl")],
+            capsys,
+        )
+        assert code == 1
+        assert stdout_json(out)["results"]["entrywise_mismatch_trials"] == []
+
     def test_identical_seeds_identical_files(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:

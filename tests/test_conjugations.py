@@ -73,8 +73,11 @@ class TestUnimodular:
         assert abs(v[0]) == 1.0
 
     def test_error_names_offending_index(self):
-        with pytest.raises(ValueError, match="index 2"):
-            unimodular([1.0, 1j, 0.5])
+        # a non-finite modulus is refused as off the circle, under the same message
+        cases = ((0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf"), (complex(np.nan, 1), "nan"))
+        for bad, modulus in cases:
+            with pytest.raises(ValueError, match=f"index 2 has modulus {modulus},"):
+                unimodular([1.0, 1j, bad])
 
     def test_start_index_shifts_error_message(self):
         with pytest.raises(ValueError, match="index 3"):

@@ -541,6 +541,25 @@ class TestOffsetForms:
             assert report.entrywise_violation == reference, (label, sym.band)
             assert entrywise_condition(sym, w, dim).max_violation == reference, label
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 24, 512])
+    def test_residual_bounds_the_entrywise_violation(self, dim):
+        # two norms of one array x: sqrt(2 * sum |x|^2) >= sqrt(2) * max |x|, so
+        # residual >= entrywise and no tol passes the residual but not entrywise
+        band = min(dim - 1, 8)
+        reports = [
+            r.report
+            for mode in EXPLORE_MODES
+            if mode != "unitary"
+            for r in explore_symmetry(100, dim, band, seed=59, mode=mode)
+        ]
+        for t in range(6):
+            zeta, sym = trial_draws(t, dim, band, seed=61)
+            for scale in (1e-12, 1.0, 1e6):
+                scaled = LaurentSymbol(band, scale * sym.coeffs)
+                reports.append(symmetry_report(sequence_conjugation(zeta), scaled, dim))
+        for report in reports:
+            assert report.residual >= np.sqrt(2.0) * (1.0 - dim * EPS) * report.entrywise_violation
+
     def test_residual_rejects_dense_map_and_wrong_size(self, diagonal_families):
         rng = np.random.default_rng(113)
         for name, op in diagonal_families:
@@ -963,7 +982,7 @@ class TestExplorationBlocks:
             rows = slice(None) if i is None else slice(i, i + 1)
             return (
                 hardyconj.toeplitz._onesided_violation(coeffs[rows], w[rows]),
-                *hardyconj.toeplitz._offset_criteria(coeffs[rows], w[rows], d[rows]),
+                *hardyconj.toeplitz._offset_criteria(coeffs[rows], w[rows]),
             )
 
         stacked = kernel(None)
@@ -995,9 +1014,9 @@ class TestExplorationBlocks:
             reports.append(args)
             return report(*args, **kwargs)
 
-        def counting_kernel(coeffs, w, d):
+        def counting_kernel(coeffs, w):
             kernels.append(coeffs.shape[0])
-            return kernel(coeffs, w, d)
+            return kernel(coeffs, w)
 
         monkeypatch.setattr(hardyconj.toeplitz, "symmetry_report", counting_report)
         monkeypatch.setattr(hardyconj.toeplitz, "_offset_criteria", counting_kernel)
