@@ -28,8 +28,10 @@ summary = summarize_exploration(records)
 print(f"{TRIALS} mixed trials at N = {N}, band = {BAND}, seed = {SEED}")
 print(f"  one-sided rule matched the oracle : {summary['onesided_agreements']}")
 print(f"  one-sided rule contradicted it    : {summary['onesided_disagreements']}")
-print(f"  two-index rule mismatches         : {len(summary['entrywise_mismatch_trials'])}"
-      "  (always zero: it is the faithful finite-section condition)")
+# the residual is sqrt(2) times the Frobenius norm of the array whose max norm
+# is the two-index violation, so a mismatch can only be the two-index rule
+# passing what the residual rejects, which a small enough tol can show
+print(f"  two-index rule mismatches         : {len(summary['entrywise_mismatch_trials'])}")
 
 # ---------------------------------------------------------------------------
 # Split the disagreements by trial style. Mixed mode cycles generic /

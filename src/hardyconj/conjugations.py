@@ -361,6 +361,7 @@ def verify_conjugation(
         back = np.linalg.norm(apply_antilinear(op, cf) - f, axis=1)
         involution = max(involution, _residual(np.max(back)))
 
+    tol = float(tol)
     passed = max(isometry, involution, a_unitarity, a_symmetry) <= tol
     return ConjugationCert(
         isometry_residual=isometry,

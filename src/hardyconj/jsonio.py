@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -231,47 +232,23 @@ def load_symbol(path, max_band: int | None = None) -> LaurentSymbol:
 
 
 def cert_to_json(cert: ConjugationCert) -> dict:
-    return {
-        "isometry_residual": float(cert.isometry_residual),
-        "involution_residual": float(cert.involution_residual),
-        "a_unitarity_residual": float(cert.a_unitarity_residual),
-        "a_symmetry_residual": float(cert.a_symmetry_residual),
-        "tol": float(cert.tol),
-        "passed": bool(cert.passed),
-    }
+    return asdict(cert)
 
 
 def report_to_json(report: SymmetryReport) -> dict:
-    # _record_lines writes these keys from a fixed template: keep it in step
-    return {
-        "residual": float(report.residual),
-        "coeff_condition_holds": report.coeff_condition_holds,
-        "max_coeff_violation": None
-        if report.max_coeff_violation is None
-        else float(report.max_coeff_violation),
-        "agree": report.agree,
-        "tol": float(report.tol),
-        "entrywise_holds": report.entrywise_holds,
-        "entrywise_violation": None
-        if report.entrywise_violation is None
-        else float(report.entrywise_violation),
-    }
+    # _record_lines's template lists SymmetryReport's fields; TestRecordLines enforces it
+    return asdict(report)
 
 
 def record_to_json(record: ExplorationRecord) -> dict:
-    """Every field of the record: trial, seed pair, resolved mode and report.
+    """Every field of the record: trial, seed pair (as a list), resolved mode and report.
 
     ``run_trial`` rebuilds the record from the line and the file's inputs,
     and ``trial_draws`` the sequence and symbol it was checked on. The
     ``explore`` command writes its lines from block columns without
     building this dict; ``json_line`` of it is the reference for those bytes.
     """
-    return {
-        "trial": int(record.trial),
-        "seed": [int(s) for s in record.seed],
-        "mode": record.mode,
-        "report": report_to_json(record.report),
-    }
+    return {**asdict(record), "seed": list(record.seed)}
 
 
 # built once: json.dumps with options constructs a new encoder on every call
@@ -306,10 +283,10 @@ def _record_lines(block) -> str:
     One fixed layout, keys in sorted order, is filled from the block's
     columns (``toeplitz._run_block``), so no record or dict is built.
     """
-    seed, (tol,) = int(block.seed), _floats([float(block.tol)])
+    seed, (tol,) = block.seed, _floats([block.tol])
     modes = {m: _LINE.encode(m) for m in set(block.modes)}
     columns = zip(
-        map(int, block.trials),
+        block.trials,
         block.modes,
         _floats(block.residual),
         _floats(block.onesided),

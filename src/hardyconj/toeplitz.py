@@ -103,16 +103,18 @@ class LaurentSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.band < 0:
+        band = _index(self.band, "band")
+        if band < 0:
             raise ValueError("band must be nonnegative")
         c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (2 * self.band + 1,):
+        if c.shape != (2 * band + 1,):
             raise ValueError(
-                f"coefficient array has shape {c.shape}, expected ({2 * self.band + 1},)"
+                f"coefficient array has shape {c.shape}, expected ({2 * band + 1},)"
             )
         if not np.isfinite(c).all():
             raise ValueError("symbol coefficients contain non-finite entries")
         c.setflags(write=False)
+        object.__setattr__(self, "band", band)
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
@@ -144,12 +146,12 @@ class LaurentSymbol:
         return self.band == other.band and bool(np.array_equal(self.coeffs, other.coeffs))
 
 
-def _index(n) -> int:
-    """A coefficient index as an int; a non-integral key raises instead of truncating."""
+def _index(n, name: str = "coefficient index") -> int:
+    """An index or band as an int; a non-integral value raises instead of truncating."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ValueError(f"coefficient index {n!r} is not an integer") from None
+        raise ValueError(f"{name} {n!r} is not an integer") from None
 
 
 def random_symbol(band: int, rng: np.random.Generator) -> LaurentSymbol:
@@ -384,6 +386,7 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     if w.size < m + 1:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
     violation = float(_onesided_violation(symbol.coeffs[None], w[None])[0])
+    tol = float(tol)
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -407,6 +410,7 @@ def entrywise_condition(
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
     violation = float(_offset_criteria(symbol.coeffs[None], w[None, :dim])[0][0])
+    tol = float(tol)
     return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
 
 
@@ -546,12 +550,13 @@ def _columns(tol, residual, onesided=None, entrywise=None, **trials) -> _Block:
     """A block from its (k,) value arrays, with the verdicts of its rows.
 
     Every verdict of :func:`symmetry_report` and of explore's blocks is
-    made here, one pass over the block's values, compared as Python
-    floats. :func:`onesided_condition`, :func:`entrywise_condition`,
-    :func:`summarize_exploration` and the ``check-symmetry`` command
-    compare with ``tol`` on their own, in the same way. ``trials`` are
-    the block's trials, modes and seed.
+    made here, one pass over the block's values compared with
+    ``float(tol)``, so each is a Python bool. :func:`onesided_condition`,
+    :func:`entrywise_condition` and ``verify_conjugation`` make theirs the
+    same way; :func:`summarize_exploration` and ``check-symmetry`` compare
+    ``residual <= tol`` again. ``trials`` are the block's trials, modes and seed.
     """
+    tol = float(tol)
     residual = residual.tolist()
     holds = [r <= tol for r in residual]
     if onesided is None:
@@ -668,6 +673,7 @@ def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: fl
     the columns hold Python values only, and every consumer (records,
     report lines, summary) reads its verdicts from them.
     """
+    seed = operator.index(seed)
     if mode == "unitary":
         residual = []
         for t in trials:
@@ -776,11 +782,13 @@ def summarize_exploration(records) -> dict:
     """Aggregate counts for an exploration run.
 
     Tracks how often the one-sided criterion agrees with the residual
-    oracle, which trials disagree (reproducible via their seeds), whether
-    the entrywise criterion ever mismatches the oracle (it should not),
-    and the largest residual among trials where the one-sided criterion
-    holds. The ``explore`` command folds its blocks' columns through the
-    same code, so this is the reference for its summary line.
+    oracle, which trials disagree (reproducible via their seeds), which
+    trials the entrywise criterion and the oracle judge differently (as
+    residual >= sqrt(2) * entrywise, only by the entrywise check passing
+    what the residual rejects), and the largest residual among trials
+    where the one-sided criterion holds. The ``explore`` command folds its
+    blocks' columns through the same code, so this is the reference for
+    its summary line.
     """
     reports = ((r.trial, r.report) for r in records)
     return _summary(

@@ -14,11 +14,16 @@ from hardyconj import (
     LaurentSymbol,
     SymmetryReport,
     canonical_conjugation,
+    conjugation_from_unitary,
     explore_symmetry,
+    fourier_coefficients,
     generate_symmetric_symbol,
     random_symbol,
+    random_unitary,
+    run_trial,
     sequence_conjugation,
     summarize_exploration,
+    symmetry_report,
     verify_conjugation,
 )
 from hardyconj.jsonio import (
@@ -196,10 +201,16 @@ class TestSymbolFiles:
             assert load_symbol(path) == sym
 
     def test_emitted_object_lists_full_band(self):
-        sym = LaurentSymbol.from_pairs({1: 1.0}, band=2)
-        data = symbol_to_json(sym)
-        assert data["schema_version"] == 1
-        assert [entry["n"] for entry in data["coeffs"]] == [-2, -1, 0, 1, 2]
+        # a numpy integer band is stored, and so emitted, as an int
+        for sym in (
+            LaurentSymbol.from_pairs({1: 1.0}, band=2),
+            LaurentSymbol(np.int64(2), np.ones(5)),
+            fourier_coefficients(np.arange(6.0), np.int64(2)),
+        ):
+            data = symbol_to_json(sym)
+            assert data["schema_version"] == 1
+            assert [entry["n"] for entry in data["coeffs"]] == [-2, -1, 0, 1, 2]
+            assert type(data["band"]) is int and json.loads(json_line(data)) == data
 
     def test_emitted_bytes_equal_the_per_coefficient_form(self):
         # signed zeros in either part come through the array path unchanged
@@ -259,27 +270,44 @@ class TestCanonicalJson:
         assert json_line({"a": [1, 2]}) == '{"a":[1,2]}\n'
 
     def test_bytes_equal_json_dumps_with_the_same_options(self):
-        records = explore_symmetry(9, 16, 3, seed=5, mode="mixed")
+        # numpy arithmetic makes np.float64 tolerances and np.int64 seeds; the
+        # reports made with them hold plain Python values, so they emit the same
+        assert self.documents(np.int64(5), np.float64(1e-10)) == self.documents(5, 1e-10)
+
+    @staticmethod
+    def documents(seed, tol):
+        """Every kind of emitted document, each checked against json.dumps."""
+        runs = {mode: explore_symmetry(9, 16, 3, seed=seed, mode=mode, tol=tol)
+                for mode in ("mixed", "unitary")}
+        records = runs["mixed"]
         symbol = generate_symmetric_symbol({1: 0.5 - 0.25j, 3: 2.0}, 0.1, [1j, -1.0, 0.6 + 0.8j])
-        documents = [record_to_json(r) for r in records] + [
+        op = sequence_conjugation(np.exp(1j * np.arange(1, 16)))
+        dense = conjugation_from_unitary(random_unitary(16, 3))
+        documents = [record_to_json(r) for run in runs.values() for r in run] + [
+            record_to_json(run_trial(4, 16, 3, seed=seed, tol=tol)),
             report_to_json(records[0].report),
+            report_to_json(symmetry_report(op, symbol, 16, tol=tol)),
+            report_to_json(symmetry_report(dense, symbol, 16, tol=tol)),
             summarize_exploration(records),
             symbol_to_json(symbol),
-            cert_to_json(verify_conjugation(canonical_conjugation(4), trials=5)),
+            cert_to_json(verify_conjugation(canonical_conjugation(4), trials=5, tol=tol)),
+            cert_to_json(verify_conjugation(dense, trials=5, tol=tol)),
         ]
         for doc in documents:
             pretty = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
             line = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
             assert canonical_json(doc) == pretty + "\n"
             assert json_line(doc) == line + "\n"
+            assert json.loads(line) == doc
         # explore's record lines, written from block columns without the dicts
-        for mode in ("mixed", "unitary"):
-            block = hardyconj.toeplitz._run_block(range(9), 16, 3, 5, mode, 1e-10)
+        for mode, run in runs.items():
+            block = hardyconj.toeplitz._run_block(range(9), 16, 3, seed, mode, tol)
             lines = [
                 json.dumps(record_to_json(r), sort_keys=True, separators=(",", ":"), allow_nan=False)
-                for r in explore_symmetry(9, 16, 3, seed=5, mode=mode)
+                for r in run
             ]
             assert _record_lines(block) == "".join(line + "\n" for line in lines)
+        return documents
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Unit tests for symbols, sections, and the symmetry criteria."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from hardyconj import (
     onesided_condition,
     phase_conjugation,
     random_symbol,
+    random_unitary,
     rotation_condition,
     rotation_conjugation,
     run_trial,
@@ -39,6 +41,7 @@ from hardyconj import (
     toeplitz_section,
     trial_draws,
     unimodular,
+    verify_conjugation,
 )
 import hardyconj.toeplitz
 from hardyconj.conjugations import orthonormalize
@@ -126,6 +129,12 @@ class TestLaurentSymbol:
         assert generate_symmetric_symbol(
             {np.int64(1): 1.0, np.int16(2): 2j}, zeta=[1j, 1.0]
         ) == generate_symmetric_symbol({1: 1.0, 2: 2j}, zeta=[1j, 1.0])
+
+    @pytest.mark.parametrize("band", [2.0, np.float64(2.0), "2"], ids=["float", "float64", "str"])
+    def test_rejects_non_integral_band(self, band):
+        # refused, not truncated: symbol_to_json's range(-band, band + 1) needs an int
+        with pytest.raises(ValueError, match=re.escape(f"band {band!r} is not an integer")):
+            LaurentSymbol(band, np.zeros(5))
 
     def test_coefficients_are_frozen(self):
         sym = LaurentSymbol.from_pairs({0: 1.0})
@@ -765,6 +774,31 @@ class TestExploration:
         assert symmetry_report(op, symbol, 16, tol=report.residual).agree == (
             report.max_coeff_violation <= report.residual
         )
+
+    def test_verdicts_are_python_bools_under_a_numpy_tol(self):
+        # numpy arithmetic makes np.float64 tolerances; a numpy bool verdict is
+        # not JSON and is never `is False`
+        tol = np.float64(1e-10)
+        records = explore_symmetry(120, 24, 4, seed=42, tol=tol)
+        assert records == explore_symmetry(120, 24, 4, seed=42)
+        culprits = [r.trial for r in records if r.report.agree is False]
+        assert culprits and culprits == summarize_exploration(records)["disagreement_trials"]
+        rng = np.random.default_rng(29)
+        symbol = random_symbol(3, rng)
+        zeta = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 15))
+        reports = [r.report for r in records] + [
+            symmetry_report(sequence_conjugation(zeta), symbol, 16, tol=tol),
+            symmetry_report(sequence_conjugation(zeta), LaurentSymbol(0, [1.0]), 16, tol=tol),
+        ]
+        verdicts = [v for p in reports for v in (p.coeff_condition_holds, p.agree, p.entrywise_holds)]
+        w = sequence_multipliers(zeta, 16)
+        conditions = [onesided_condition(symbol, w, tol), entrywise_condition(symbol, w, 16, tol)]
+        verdicts += [c.holds for c in conditions]
+        certs = [verify_conjugation(op, trials=3, tol=tol)
+                 for op in (sequence_conjugation(zeta), conjugation_from_unitary(random_unitary(4, 1)))]
+        verdicts += [c.passed for c in certs]
+        assert {type(v) for v in verdicts} == {bool} and {True, False} <= set(verdicts)
+        assert {type(x.tol) for x in reports + conditions + certs} == {float}
 
     def test_mixed_mode_cycles_styles(self):
         records = explore_symmetry(6, 12, 2, seed=19, mode="mixed")
