@@ -15,9 +15,10 @@ import numpy as np
 from hardyconj import (
     explore_symmetry,
     run_trial,
-    sequence_condition,
     summarize_exploration,
+    symmetry_report,
     trial_draws,
+    turns_conjugation,
 )
 
 SEED, TRIALS, N, BAND = 42, 120, 24, 4
@@ -46,21 +47,23 @@ print(f"  disagreements by trial style      : {by_mode}")
 
 # ---------------------------------------------------------------------------
 # Reproduce one disagreement from its seed alone: run_trial rebuilds the
-# record, and trial_draws the sequence and symbol it was checked on.
+# record, and trial_draws the sequence and symbol it was checked on. The
+# sequence comes as integer turns a_n, zeta_n = exp(2 pi i a_n / 2**53), and
+# turns_conjugation rebuilds the trial's conjugation from them bit for bit.
 # ---------------------------------------------------------------------------
 culprits = [r for r in records if r.report.agree is False]
 if culprits:
     first = culprits[0]
     again = run_trial(first.trial, N, BAND, seed=SEED, mode="mixed")
-    zeta, symbol = trial_draws(first.trial, N, BAND, seed=SEED, mode="mixed")
-    replayed = sequence_condition(symbol, zeta).max_violation
+    turns, symbol = trial_draws(first.trial, N, BAND, seed=SEED, mode="mixed")
+    replayed = symmetry_report(turns_conjugation(turns), symbol, N)
     print(f"\nreplaying trial {first.trial} from seed {first.seed}:")
     print(f"  one-sided violation {again.report.max_coeff_violation:.3e} "
           f"(holds: {again.report.coeff_condition_holds})")
-    print(f"  from its draws      {replayed:.3e} "
+    print(f"  from its draws      {replayed.max_coeff_violation:.3e} "
           f"(record: {first.report.max_coeff_violation:.3e})")
     print(f"  residual            {again.report.residual:.3e}")
-    print(f"  identical verdicts  {again.report.agree == first.report.agree}")
+    print(f"  identical reports   {replayed == first.report == again.report}")
 
 # ---------------------------------------------------------------------------
 # Dense conjugations: residuals only. Random dense conjugations are

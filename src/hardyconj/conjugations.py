@@ -7,9 +7,10 @@ transpose-symmetric, which is what :func:`verify_conjugation` certifies.
 
 The constructors cover the diagonal families (plain coefficient
 conjugation, a rotation twist by a unimodular scalar, an explicit phase
-per coefficient, and squared powers of a unimodular sequence), which keep
-A as its vector of diagonal entries, plus the general form U* . conj . U
-for any unitary U, which keeps A dense.
+per coefficient, and squared powers of a unimodular sequence, given by its
+values or as integer turns), which keep A as its vector of diagonal
+entries, plus the general form U* . conj . U for any unitary U, which
+keeps A dense.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "sequence_conjugation",
     "sequence_unitary",
     "squared_powers",
+    "turns_conjugation",
     "unimodular",
     "verify_conjugation",
 ]
@@ -57,33 +59,28 @@ _REPEATED_POWER_LIMIT = 100
 #: double for every integer e < 2**27.
 _ANGLE_GRID = 2.0**-24
 
+#: Denominator of a sequence's integer turns, zeta_n = exp(2 pi i a_n / 2**53):
+#: numpy's ``random`` draws u as a 53-bit integer times 2**-53.
+_TURNS = 2**53
+
 
 def unimodular(values, start_index: int = 0) -> np.ndarray:
     """Check every entry has modulus 1 within ``UNIMODULAR_TOL``, then renormalize.
 
-    ``start_index`` sets the index reported in the error message; the
-    squared-sequence family is conventionally indexed from 1.
+    ``values`` is 1-D, a scalar counting as one entry. ``start_index`` sets
+    the index reported in the error message; the squared-sequence family is
+    conventionally indexed from 1.
     """
-    return _unimodular_rows(_sequence(values), start_index)
-
-
-def _sequence(values) -> np.ndarray:
-    """``values`` as a 1-D complex array, a scalar as one entry."""
     v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {v.shape}")
-    return v
-
-
-def _unimodular_rows(v: np.ndarray, start_index: int) -> np.ndarray:
-    """:func:`unimodular` on every row of a complex stack, indices along the last axis."""
     mod = np.abs(v)
     # a NaN modulus compares false, so the negation catches it with inf
-    bad = ~(np.abs(mod - 1.0) <= UNIMODULAR_TOL)
-    if bad.any():
-        k = tuple(np.argwhere(bad)[0])
+    bad = np.flatnonzero(~(np.abs(mod - 1.0) <= UNIMODULAR_TOL))
+    if bad.size:
+        k = bad[0]
         raise ValueError(
-            f"entry at index {k[-1] + start_index} has modulus {mod[k]:.12g}, "
+            f"entry at index {k + start_index} has modulus {mod[k]:.12g}, "
             f"expected 1 within {UNIMODULAR_TOL:g}"
         )
     return v / mod
@@ -121,41 +118,36 @@ def squared_powers(zeta) -> np.ndarray:
     """Multipliers zeta_n ** (2n) for n = 0 .. len(zeta), entry 0 fixed to 1.
 
     ``zeta`` is indexed from 1, so ``zeta[j]`` is the entry for n = j + 1.
-    A (k, n) stack gives one row of multipliers per sequence, each equal to
-    the result for that row alone. Every entry is checked and renormalized
-    as by :func:`unimodular`, indices counted from 1, so an entry off the
-    unit circle is refused. From exponent 100 on a power comes from the
-    phase alone, through an exactly split angle instead of libm ``cpow``,
-    so neither its phase nor its modulus error grows as n * eps.
+    Every entry is checked and renormalized as by :func:`unimodular`,
+    indices counted from 1, so an entry off the unit circle is refused.
+    From exponent 100 on a power comes from the phase alone, through an
+    exactly split angle instead of libm ``cpow``, so neither its phase nor
+    its modulus error grows as n * eps.
     """
-    z = _unimodular_rows(np.atleast_1d(np.asarray(zeta, dtype=np.complex128)), 1)
-    powers = np.empty(z.shape[:-1] + (z.shape[-1] + 1,), dtype=np.complex128)
-    powers[..., 0] = 1.0
-    powers[..., 1:] = _unit_powers(z, 2 * np.arange(1, z.shape[-1] + 1))
-    return powers
+    z = unimodular(zeta, start_index=1)
+    return np.concatenate(([1.0 + 0.0j], _unit_powers(z, 2 * np.arange(1, z.size + 1))))
 
 
 def _unit_powers(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``z ** e`` along the last axis, for unimodular ``z`` and nondecreasing integers ``e >= 0``.
+    """``z ** e`` for unimodular ``z`` and nondecreasing integers ``e >= 0``.
 
-    ``z`` is a 1-D array or a (k, len(e)) stack, or has length one and is
-    raised to every exponent. Below ``_REPEATED_POWER_LIMIT`` the result is
-    ``z ** e`` bit for bit, so exact products such as 1j ** 2 == -1 stay
-    exact. From the limit on it is exp(i e theta_hi) * exp(i e theta_lo),
+    ``z`` has the length of ``e``, or length one and is raised to every
+    exponent. Below ``_REPEATED_POWER_LIMIT`` the result is ``z ** e`` bit
+    for bit, so exact products such as 1j ** 2 == -1 stay exact. From the limit on it is exp(i e theta_hi) * exp(i e theta_lo),
     with arg z split by :func:`_split_angle`: e * theta_hi is exact and
     only the small e * theta_lo is rounded, whereas ``cpow`` rounds the
     whole phase e * theta to about e * eps and raises the rounding error of
     |z| to the power e. |z| is taken to be one there, so the powers of one
     z stay a geometric sequence on the unit circle to roundoff.
     """
-    z = np.broadcast_to(z, z.shape[:-1] + e.shape)
+    z = np.broadcast_to(z, e.shape)
     split = int(np.searchsorted(e, _REPEATED_POWER_LIMIT))
-    powers = np.empty(z.shape, dtype=np.complex128)
-    powers[..., :split] = z[..., :split] ** e[:split]
+    powers = np.empty(e.shape, dtype=np.complex128)
+    powers[:split] = z[:split] ** e[:split]
     if split < e.size:
         e = e[split:]
-        hi, lo = _split_angle(z[..., split:])
-        big, turn = powers[..., split:], np.empty(hi.shape, dtype=np.complex128)
+        hi, lo = _split_angle(z[split:])
+        big, turn = powers[split:], np.empty(e.shape, dtype=np.complex128)
         for angle, out in ((e * hi, big), (e * lo, turn)):
             np.cos(angle, out=out.real)
             np.sin(angle, out=out.imag)
@@ -179,7 +171,54 @@ def sequence_conjugation(zeta) -> AntilinearMap:
     renormalizes it once. A constant sequence with value w reduces to
     ``rotation_conjugation(w**2)``.
     """
-    return AntilinearMap(np.conj(squared_powers(_sequence(zeta))))
+    return AntilinearMap(np.conj(squared_powers(zeta)))
+
+
+def turns_conjugation(a) -> AntilinearMap:
+    """:func:`sequence_conjugation` of zeta_n = exp(2 pi i a_n / 2**53), from the integers a_n.
+
+    ``a`` lists a_1 .. a_{N-1}, each in [0, 2**53); an a_n that is no
+    integer in that range is refused. The multiplier of coefficient n is
+    conj(w_n), w_n = exp(2 pi i e_n / 2**53) with e_n = 2n a_n mod 2**53
+    exact, so w_n is rounded once whatever n is. ``explore`` draws its
+    sequences as such turns, and this rebuilds a trial's map bit for bit.
+    """
+    turns = np.atleast_1d(np.asarray(a))
+    if turns.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got shape {turns.shape}")
+    if turns.size and (turns.dtype.kind not in "iu" or turns.min() < 0 or turns.max() >= _TURNS):
+        raise ValueError("turns must be integers in [0, 2**53)")
+    return AntilinearMap(np.conj(_turn_powers(turns.astype(np.uint64))))
+
+
+def _turn_exponents(a: np.ndarray) -> np.ndarray:
+    """e_n = 2n a_n mod 2**53 for n = 1 .. len(a), along the last axis of a uint64 stack.
+
+    The product wraps mod 2**64, which 2**53 divides, so e_n is exact. The
+    index array is uint64 too: uint64 times int64 would promote to float64.
+    """
+    e = a * np.arange(2, 2 * a.shape[-1] + 1, 2, dtype=np.uint64)
+    return np.bitwise_and(e, np.uint64(_TURNS - 1), out=e)
+
+
+def _turn_powers(a: np.ndarray) -> np.ndarray:
+    """w_n = exp(2 pi i e_n / 2**53) for n = 0 .. len(a) along the last axis, w_0 = 1.
+
+    ``a`` is a uint64 stack of turns a_1 .. a_{N-1} (:func:`_turn_exponents`).
+    Shifted by 11 bits to the top of the word and read as int64, e_n / 2**53
+    becomes a turn in [-1/2, 1/2), converted to float exactly, so the angle
+    is at most pi and rounded once: w_n is within a few 1e-16 of its exact
+    value at any n. Rows never mix, so a row has the same bits at any
+    stack height.
+    """
+    e = _turn_exponents(a)
+    e <<= np.uint64(11)
+    angle = e.view(np.int64) * (np.pi / 2.0**63)
+    w = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=np.complex128)
+    w[..., 0] = 1.0
+    np.cos(angle, out=w.real[..., 1:])
+    np.sin(angle, out=w.imag[..., 1:])
+    return w
 
 
 def sequence_unitary(zeta) -> np.ndarray:

@@ -244,7 +244,7 @@ def record_to_json(record: ExplorationRecord) -> dict:
     """Every field of the record: trial, seed pair (as a list), resolved mode and report.
 
     ``run_trial`` rebuilds the record from the line and the file's inputs,
-    and ``trial_draws`` the sequence and symbol it was checked on. The
+    and ``trial_draws`` the sequence turns and symbol it was checked on. The
     ``explore`` command writes its lines from block columns without
     building this dict; ``json_line`` of it is the reference for those bytes.
     """

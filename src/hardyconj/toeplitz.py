@@ -35,10 +35,14 @@ calls them once per block of at most
 complex entries, 1 MiB per stacked array). Trial t of seed s reads K
 uniforms from word t * K of the counter-based ``np.random.Philox(s)``
 stream, K = (N - 1) + 2 * (2M + 1) rounded up to a multiple of 4, so a
-block is one ``advance`` and one ``random((k, K))`` call. The sequences,
-the damped and completed symbols and the checks are array operations
-over the block. Rows never mix, so a record from a block equals
-:func:`run_trial` on its trial, bit for bit.
+block is one ``advance`` and one ``random((k, K))`` call. A uniform u is
+an integer a below 2**53 times 2**-53, so a trial's sequence
+zeta_n = exp(2 pi i u_n) is held as the integer turns a_n, and its
+multipliers w_n = zeta_n ** (2n) = exp(2 pi i e_n / 2**53) come from the
+exact e_n = 2n a_n mod 2**53, one cos and one sin per entry
+(``turns_conjugation``). The multipliers, the damped and completed symbols
+and the checks are array operations over the block. Rows never mix, so a
+record from a block equals :func:`run_trial` on its trial, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .conjugations import (
     _complex_gaussian,
-    _sequence,
+    _TURNS,
+    _turn_powers,
     conjugation_from_unitary,
     orthonormalize,
     rotation_conjugation,
@@ -103,9 +108,7 @@ class LaurentSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        band = _index(self.band, "band")
-        if band < 0:
-            raise ValueError("band must be nonnegative")
+        band = _band(self.band)
         c = np.array(self.coeffs, dtype=np.complex128)
         if c.shape != (2 * band + 1,):
             raise ValueError(
@@ -120,6 +123,8 @@ class LaurentSymbol:
     @classmethod
     def from_pairs(cls, pairs, band: int | None = None) -> "LaurentSymbol":
         """Build from a mapping or iterable of (n, value); missing n are zero."""
+        if band is not None:
+            band = _band(band)
         items = {_index(n): value for n, value in dict(pairs).items()}
         if band is None:
             band = max((abs(n) for n in items), default=0)
@@ -154,12 +159,21 @@ def _index(n, name: str = "coefficient index") -> int:
         raise ValueError(f"{name} {n!r} is not an integer") from None
 
 
+def _band(band) -> int:
+    """A band as an int, refused with the library's message if non-integral or negative."""
+    band = _index(band, "band")
+    if band < 0:
+        raise ValueError("band must be nonnegative")
+    return band
+
+
 def random_symbol(band: int, rng: np.random.Generator) -> LaurentSymbol:
     """Random symbol with complex Gaussian coefficients damped by 1/(1+|n|).
 
     The decay mimics a smooth symbol and keeps residual magnitudes
     comparable across random trials.
     """
+    band = _band(band)
     raw = rng.standard_normal(2 * band + 1) + 1j * rng.standard_normal(2 * band + 1)
     return LaurentSymbol(band, _damped(raw))
 
@@ -192,6 +206,7 @@ def fourier_coefficients(samples, band: int) -> LaurentSymbol:
     k = 0 .. K-1. Exact (to roundoff) for trigonometric polynomials of
     degree <= band once K >= 2*band + 1; fewer samples alias and raise.
     """
+    band = _band(band)
     samples = np.asarray(samples, dtype=np.complex128)
     if samples.ndim != 1:
         raise ValueError(f"expected a 1-D sample array, got shape {samples.shape}")
@@ -332,7 +347,7 @@ def sequence_multipliers(zeta, count: int) -> np.ndarray:
     ``zeta`` is indexed from 1 and must cover indices 1 .. count-1. It is
     passed as given to :func:`squared_powers`, which checks every entry.
     """
-    w = squared_powers(_sequence(zeta))
+    w = squared_powers(zeta)
     if w.size < count:
         raise ValueError(
             f"sequence covers indices 1..{w.size - 1}, need 1..{count - 1}"
@@ -585,7 +600,7 @@ class ExplorationRecord:
 
     It holds what its JSON line holds: the trial, the seed pair, the
     resolved mode and the report. :func:`run_trial` rebuilds the record and
-    :func:`trial_draws` the sequence and symbol it was checked on.
+    :func:`trial_draws` the sequence turns and symbol it was checked on.
     """
 
     trial: int
@@ -626,19 +641,21 @@ def _unitary_draws(dim: int, band: int, seed: int, trial: int) -> tuple:
 def _block_draws(trials: range, dim: int, band: int, seed: int, mode: str) -> tuple:
     """The draws of diagonal-mode ``trials`` as stacks, one row per trial.
 
-    Returns the resolved modes, the sequences (k, dim - 1), their
-    multipliers (k, dim) and the symbols' coefficients (k, 2 * band + 1).
+    Returns the resolved modes, the sequences' turns a_1 .. a_{dim-1} as
+    uint64 (k, dim - 1), their multipliers (k, dim) and the symbols'
+    coefficients (k, 2 * band + 1).
     Philox is counter based (Salmon et al., SC 2011), so trial t's K
     uniforms sit at word t * K of ``Philox(seed)``, K = (dim - 1) +
     2 * (2 * band + 1) rounded up to whole four-word counter steps, and the
     block is one ``random((k, K))`` call after one ``advance``. Slots
-    0 .. dim - 2 give the sequence angles 2 pi u; a constant sequence reads
-    slot 0. The rest are (u1, u2) pairs, one for each n = -band .. band,
-    giving the complex normal sqrt(-2 log1p(-u1)) exp(2 pi i u2) (Box and
-    Muller, 1958); a one-sided half reads n = 0 .. band, so c(n) has one
-    slot in every mode. The exp, the damping and the completion run once
-    over the stacks, row by row, so a trial gets the same bits alone or in
-    any block.
+    0 .. dim - 2 give the sequence zeta_n = exp(2 pi i u) as its turns
+    a_n = u * 2**53; a constant sequence reads slot 0. The multipliers are
+    those of ``turns_conjugation(a)``. The rest are (u1, u2) pairs, one for
+    each n = -band .. band, giving the complex normal
+    sqrt(-2 log1p(-u1)) exp(2 pi i u2) (Box and Muller, 1958); a one-sided
+    half reads n = 0 .. band, so c(n) has one slot in every mode. The
+    powers, the damping and the completion run once over the stacks, row
+    by row, so a trial gets the same bits alone or in any block.
     """
     width = -(-(dim - 1 + 2 * (2 * band + 1)) // 4) * 4
     bit_generator = np.random.Philox(seed)
@@ -646,21 +663,20 @@ def _block_draws(trials: range, dim: int, band: int, seed: int, mode: str) -> tu
     u = np.random.Generator(bit_generator).random((len(trials), width))
     modes = [("generic", "symmetrized", "constant")[t % 3] if mode == "mixed" else mode for t in trials]
     resolved = np.array(modes)
-    angles = 2.0 * np.pi * u[:, : dim - 1]
-    angles[resolved == "constant"] = angles[resolved == "constant", :1]
+    # u = m * 2**-53 with m an integer below 2**53, so the scaling is exact
+    turns = (u[:, : dim - 1] * _TURNS).astype(np.uint64)
+    turns[resolved == "constant"] = turns[resolved == "constant", :1]
     pairs = u[:, dim - 1 : dim - 1 + 2 * (2 * band + 1)]
     raw = np.sqrt(-2.0 * np.log1p(-pairs[:, ::2])) * np.exp(2j * np.pi * pairs[:, 1::2])
 
-    zetas = np.exp(1j * angles)
-    # the multipliers of sequence_conjugation(zeta), unimodular check included
-    w = squared_powers(zetas)
+    w = _turn_powers(turns)
     coeffs = _damped(raw)
     # a one-sided half keeps c(0) .. c(band) and is completed to the negative side
     half = resolved != "generic"
     completed = _completed(band, np.arange(1, band + 1), coeffs[half, band + 1 :], w[half])
     completed[:, band] = coeffs[half, band]
     coeffs[half] = completed
-    return modes, zetas, w, coeffs
+    return modes, turns, w, coeffs
 
 
 def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: float) -> _Block:
@@ -697,22 +713,23 @@ def _records(block: _Block) -> list[ExplorationRecord]:
 def trial_draws(
     trial: int, dim: int, band: int, seed: int, mode: str = "mixed"
 ) -> tuple[np.ndarray | None, LaurentSymbol]:
-    """The sequence and symbol of one exploration trial, as (zeta, symbol).
+    """The sequence and symbol of one exploration trial, as (turns, symbol).
 
-    ``zeta`` lists the sequence for indices 1 .. dim-1; a ``unitary`` trial
+    ``turns`` holds the integers a_1 .. a_{dim-1} in [0, 2**53), uint64,
+    of the sequence zeta_n = exp(2 pi i a_n / 2**53); a ``unitary`` trial
     draws a dense map instead and gives None. The draws come from the same
     code as :func:`explore_symmetry`'s, a block of one that reads the
     trial's K uniforms at word trial * K of ``Philox(seed)``, so they have
     the bits that trial was checked with:
-    ``symmetry_report(sequence_conjugation(zeta), symbol, dim, tol)``
-    rebuilds a diagonal trial's report.
+    ``symmetry_report(turns_conjugation(turns), symbol, dim, tol)``
+    rebuilds a diagonal trial's report bit for bit.
     """
     trials = range(trial, trial + 1)
     _check_explore(dim, band, mode, seed, trials)
     if mode == "unitary":
         return None, _unitary_draws(dim, band, seed, trial)[1]
-    _, zetas, _, coeffs = _block_draws(trials, dim, band, seed, mode)
-    return zetas[0], LaurentSymbol(band, coeffs[0])
+    _, turns, _, coeffs = _block_draws(trials, dim, band, seed, mode)
+    return turns[0], LaurentSymbol(band, coeffs[0])
 
 
 def run_trial(
@@ -722,7 +739,7 @@ def run_trial(
 
     This is :func:`explore_symmetry`'s block path with a block of one, so
     the record equals that trial's record in any exploration, bit for bit.
-    :func:`trial_draws` gives the sequence and symbol it was checked on.
+    :func:`trial_draws` gives the sequence turns and symbol it was checked on.
     """
     trials = range(trial, trial + 1)
     _check_explore(dim, band, mode, seed, trials)
@@ -750,7 +767,7 @@ def explore_symmetry(
     offset of ``np.random.Philox(seed)``, and a ``unitary`` trial draws from
     ``np.random.Generator(np.random.Philox(seed, counter=t << 128))``, so
     :func:`run_trial` regenerates any record alone and :func:`trial_draws`
-    its sequence and symbol. A record holds only the pair, the resolved
+    its sequence turns and symbol. A record holds only the pair, the resolved
     mode and the report, as its JSON line does.
 
     Trials run in blocks of ``max(1, _STACK_ENTRIES // dim)``, as the

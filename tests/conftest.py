@@ -8,6 +8,7 @@ from hardyconj import (
     phase_conjugation,
     rotation_conjugation,
     sequence_conjugation,
+    turns_conjugation,
 )
 
 
@@ -21,4 +22,5 @@ def diagonal_families(request):
         ("lambda", rotation_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), dim)),
         ("alpha", phase_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim)))),
         ("zeta", sequence_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, dim - 1)))),
+        ("turns", turns_conjugation(rng.integers(0, 2**53, dim - 1))),
     ]

@@ -905,10 +905,10 @@ class TestRefusedOutput:
         draws = hardyconj.toeplitz._block_draws
 
         def overflowing(trials, *args):
-            modes, zetas, w, coeffs = draws(trials, *args)
+            modes, turns, w, coeffs = draws(trials, *args)
             late = np.array([t >= 20 for t in trials])
             coeffs[late, 0], coeffs[late, -1] = 1e308, -1e308
-            return modes, zetas, w, coeffs
+            return modes, turns, w, coeffs
 
         monkeypatch.setattr(hardyconj.toeplitz, "_block_draws", overflowing)
         out_path = tmp_path / "records.jsonl"

@@ -18,12 +18,15 @@ from hardyconj import (
     sequence_conjugation,
     sequence_unitary,
     squared_powers,
+    turns_conjugation,
     unimodular,
     verify_conjugation,
 )
 from hardyconj.conjugations import (
     _REPEATED_POWER_LIMIT,
     _split_angle,
+    _turn_exponents,
+    _turn_powers,
     _unit_powers,
     orthonormalize,
 )
@@ -228,7 +231,8 @@ class TestUnitPowers:
                 np.full((1, e.size), 1j),
             ]
         )
-        for got, want in ((_unit_powers(z, e), z**e), (_unit_powers(np.array([1j]), e), 1j**e)):
+        pairs = [(_unit_powers(row, e), row**e) for row in z] + [(_unit_powers(np.array([1j]), e), 1j**e)]
+        for got, want in pairs:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert squared_powers([1j])[1] == -1.0
 
@@ -263,7 +267,89 @@ class TestUnitPowers:
             with pytest.raises(ValueError, match=f"entry at index 151 {message}"):
                 squared_powers(z)
             with pytest.raises(ValueError, match=f"entry at index 1 {message}"):
-                squared_powers(np.broadcast_to(modulus * z[:1], (2, 300)))
+                squared_powers(np.broadcast_to(modulus * z[:1], 300))
+
+
+def exact_turn_powers(a, n):
+    """exp(2 pi i e_n / 2**53), e_n = 2n a_n mod 2**53 in Python's big ints, at 200 bits, for the indices n."""
+    q = 2**53
+    with mpmath.workprec(200):
+        return np.array(
+            [complex(mpmath.expjpi(mpmath.mpf(2 * (2 * k * int(a[k - 1]) % q)) / q)) for k in n]
+        )
+
+
+class TestTurnsConjugation:
+    """zeta_n = exp(2 pi i a_n / 2**53) from integer turns: w_n = zeta_n ** (2n) from the exact e_n."""
+
+    def test_exponents_match_python_big_ints(self):
+        dim, q = 65536, 2**53
+        rng = np.random.default_rng(29)
+        a = rng.integers(0, q, (2, dim - 1), dtype=np.uint64)
+        a[:, -8:] = q - 1
+        e = _turn_exponents(a)
+        assert e.dtype == np.uint64
+        n = np.unique(np.concatenate(
+            [np.arange(1, 64), rng.integers(1, dim, 2000), np.arange(dim - 64, dim)])).tolist()
+        products = [2 * k * int(a[1, k - 1]) for k in n]
+        # from n = 1024 on 2n a_n can pass 2**64, where the uint64 product wraps
+        assert sum(p >= 2**64 for p in products) > 1000
+        assert [int(e[1, k - 1]) for k in n] == [p % q for p in products]
+        assert e[0].tobytes() == _turn_exponents(a[0]).tobytes()
+
+    @pytest.mark.parametrize("dim", [24, 4500, 9000])
+    def test_rows_keep_their_bits_at_any_stack_height(self, dim):
+        a = np.random.default_rng((31, dim)).integers(0, 2**53, (64, dim - 1), dtype=np.uint64)
+        alone = [_turn_powers(row) for row in a]
+        for height in (1, 3, 64):
+            stacked = _turn_powers(a[:height])
+            for i in range(height):
+                assert stacked[i].tobytes() == alone[i].tobytes(), (height, i)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["generic", "constant"])
+    def test_within_roundoff_of_the_exact_turn_at_any_n(self, constant):
+        dim, q = 65536, 2**53
+        rng = np.random.default_rng(37)
+        a = np.broadcast_to(rng.integers(0, q, 1 if constant else dim - 1, dtype=np.uint64), dim - 1)
+        op = turns_conjugation(a)
+        w = np.conj(op.diagonal)
+        n = np.unique(np.concatenate([rng.integers(1, dim, 3000), np.arange(dim - 100, dim)])).tolist()
+        assert np.max(np.abs(w[n] - exact_turn_powers(a, n))) <= 1e-15
+        assert w[0] == 1.0
+        assert np.max(np.abs(np.abs(w) - 1.0)) <= 1e-15
+        cert = verify_conjugation(op, trials=1)
+        assert cert.passed and cert.a_unitarity_residual <= 1e-12
+
+    def test_is_the_sequence_conjugation_of_its_turns(self):
+        rng = np.random.default_rng(41)
+        for dim in (2, 24, 512):
+            a = rng.integers(0, 2**53, dim - 1)
+            zeta = np.exp(2j * np.pi * (a / 2**53))
+            np.testing.assert_allclose(
+                turns_conjugation(a).diagonal, sequence_conjugation(zeta).diagonal,
+                rtol=0, atol=1e-12, err_msg=str(dim),
+            )
+
+    def test_integer_types_give_the_same_bits(self):
+        a = [0, 1, 2**52, 2**53 - 1, 12345]
+        expected = turns_conjugation(np.array(a, dtype=np.uint64)).diagonal.tobytes()
+        for given in (a, tuple(a), np.array(a, dtype=np.int64)):
+            assert turns_conjugation(given).diagonal.tobytes() == expected
+        assert turns_conjugation([]).diagonal.tolist() == [1.0]
+        assert turns_conjugation(3).dim == 2
+
+    @pytest.mark.parametrize(
+        "a",
+        [[-1], [3, -9], [2**53], [0, 2**53], [2**64 - 1], [0.5], [1.0],
+         [2**70], [-(2**70)], [True], [1j], ["1"]],
+    )
+    def test_turns_outside_the_range_are_refused(self, a):
+        with pytest.raises(ValueError, match=r"^turns must be integers in \[0, 2\*\*53\)$"):
+            turns_conjugation(a)
+
+    def test_two_dimensional_turns_are_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-D sequence, got shape \(1, 2\)$"):
+            turns_conjugation([[1, 2]])
 
 
 class TestSequenceUnitary:

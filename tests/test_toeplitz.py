@@ -40,6 +40,7 @@ from hardyconj import (
     symmetry_residual,
     toeplitz_section,
     trial_draws,
+    turns_conjugation,
     unimodular,
     verify_conjugation,
 )
@@ -88,8 +89,8 @@ def offset_form_draws(dim):
         yield "alpha", phase_conjugation(alpha), random_symbol(band, rng)
         yield "zeta", sequence_conjugation(random_zeta(rng, dim - 1)), random_symbol(band, rng)
         for mode in ("generic", "symmetrized", "constant"):
-            zeta, symbol = trial_draws(band, dim, band, seed=dim, mode=mode)
-            yield mode, sequence_conjugation(zeta), symbol
+            turns, symbol = trial_draws(band, dim, band, seed=dim, mode=mode)
+            yield mode, turns_conjugation(turns), symbol
 
 
 class TestLaurentSymbol:
@@ -135,6 +136,35 @@ class TestLaurentSymbol:
         # refused, not truncated: symbol_to_json's range(-band, band + 1) needs an int
         with pytest.raises(ValueError, match=re.escape(f"band {band!r} is not an integer")):
             LaurentSymbol(band, np.zeros(5))
+
+    # each constructor that takes a band checks it before using it, so numpy's
+    # TypeError or IndexError, or a negative array size, never shows
+    BAD_BANDS = pytest.mark.parametrize(
+        "band, message",
+        [(band, f"band {band!r} is not an integer") for band in (2.0, np.float64(2.0), "2")]
+        + [(band, "band must be nonnegative") for band in (-1, np.int64(-3))],
+        ids=["float", "float64", "str", "negative", "negative-int64"],
+    )
+
+    @BAD_BANDS
+    def test_from_pairs_checks_the_band(self, band, message):
+        for pairs in ({1: 1.0}, {}, {5: 1.0, 1.5: 2.0}):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                LaurentSymbol.from_pairs(pairs, band=band)
+
+    @BAD_BANDS
+    def test_random_symbol_checks_the_band(self, band, message):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_symbol(band, rng)
+        assert rng.bit_generator.state == state  # refused before any draw
+
+    @BAD_BANDS
+    def test_fourier_coefficients_checks_the_band(self, band, message):
+        for samples in (np.ones(8), np.ones(2), np.ones((2, 2))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fourier_coefficients(samples, band)
 
     def test_coefficients_are_frozen(self):
         sym = LaurentSymbol.from_pairs({0: 1.0})
@@ -562,10 +592,10 @@ class TestOffsetForms:
             for r in explore_symmetry(100, dim, band, seed=59, mode=mode)
         ]
         for t in range(6):
-            zeta, sym = trial_draws(t, dim, band, seed=61)
+            turns, sym = trial_draws(t, dim, band, seed=61)
             for scale in (1e-12, 1.0, 1e6):
                 scaled = LaurentSymbol(band, scale * sym.coeffs)
-                reports.append(symmetry_report(sequence_conjugation(zeta), scaled, dim))
+                reports.append(symmetry_report(turns_conjugation(turns), scaled, dim))
         for report in reports:
             assert report.residual >= np.sqrt(2.0) * (1.0 - dim * EPS) * report.entrywise_violation
 
@@ -701,13 +731,13 @@ class TestExploration:
         # any single record regenerates alone from (seed, trial), and so do its draws
         alone = run_trial(5, 16, 3, seed=7, mode="mixed")
         assert record_to_json(alone) == record_to_json(records[5])
-        zeta, symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
-        again_zeta, again_symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
-        assert np.array_equal(zeta, again_zeta) and symbol == again_symbol
+        turns, symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
+        again_turns, again_symbol = trial_draws(5, 16, 3, seed=7, mode="mixed")
+        assert np.array_equal(turns, again_turns) and symbol == again_symbol
         # and every record's draws rebuild its report
         for r in records:
-            zeta, symbol = trial_draws(r.trial, 16, 3, seed=7, mode="mixed")
-            assert symmetry_report(sequence_conjugation(zeta), symbol, 16) == r.report, r.trial
+            turns, symbol = trial_draws(r.trial, 16, 3, seed=7, mode="mixed")
+            assert symmetry_report(turns_conjugation(turns), symbol, 16) == r.report, r.trial
 
     def test_constant_mode_always_agrees(self):
         records = explore_symmetry(30, 16, 3, seed=11, mode="constant")
@@ -715,7 +745,7 @@ class TestExploration:
         assert summary["onesided_disagreements"] == 0
         assert summary["entrywise_mismatch_trials"] == []
 
-    @pytest.mark.parametrize("dim, seeds", [(4096, 40), (8192, 40), (16384, 10)])
+    @pytest.mark.parametrize("dim, seeds", [(4096, 40), (8192, 40), (16384, 10), (65536, 10)])
     def test_constant_mode_agrees_at_large_sections(self, dim, seeds):
         # seeds 15 and 27 at 4096 disagreed while the multipliers came from cpow
         for seed in range(seeds):
@@ -847,13 +877,13 @@ def same_record(block, alone):
 
 
 def same_draws(got, expected):
-    """Two (zeta, symbol) pairs hold the same bits; a unitary trial's zeta is None."""
-    (zeta, symbol), (zeta_ref, symbol_ref) = got, expected
-    if zeta_ref is None:
-        assert zeta is None
+    """Two (turns, symbol) pairs hold the same bits; a unitary trial's turns are None."""
+    (turns, symbol), (turns_ref, symbol_ref) = got, expected
+    if turns_ref is None:
+        assert turns is None
     else:
-        assert zeta.dtype == zeta_ref.dtype
-        assert zeta.tobytes() == zeta_ref.tobytes()
+        assert turns.dtype == turns_ref.dtype == np.uint64
+        assert turns.tobytes() == turns_ref.tobytes()
     assert symbol.band == symbol_ref.band
     assert symbol.coeffs.tobytes() == symbol_ref.coeffs.tobytes()
 
@@ -885,23 +915,24 @@ def box_muller(u, dim, band):
 
 
 def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFAULT_TOL):
-    """Diagonal-mode explore records, and their (zeta, symbol) draws, built trial by trial.
+    """Diagonal-mode explore records, and their (turns, symbol) draws, built trial by trial.
 
     The reference for explore's block draws. Each trial reads its own row
-    with :func:`trial_uniforms`: the first dim - 1 uniforms give its angles
-    2 pi u (the first alone for a constant sequence), the pairs after them
-    its normals by :func:`box_muller`. A generic symbol is
+    with :func:`trial_uniforms`: the first dim - 1 uniforms u give its
+    turns, the integers u * 2**53 (the first alone for a constant
+    sequence), and its map is ``turns_conjugation`` of them; the pairs
+    after them give its normals by :func:`box_muller`. A generic symbol is
     ``1.0 * raw / (1 + |n|)``; a one-sided half keeps n >= 0, damped in
     place, and the halves are then completed and each trial checked alone.
     """
-    modes, zetas, symbols = [], [], []
+    modes, turns, symbols = [], [], []
     for trial in trials:
         resolved = ("generic", "symmetrized", "constant")[trial % 3] if mode == "mixed" else mode
         u = trial_uniforms(seed, trial, dim, band)
-        angles = 2.0 * np.pi * u[: dim - 1]
+        a = np.array([int(x * 2**53) for x in u[: dim - 1]], dtype=np.uint64)
         if resolved == "constant":
-            angles[:] = angles[0]
-        zetas.append(np.exp(1j * angles))
+            a[:] = a[0]
+        turns.append(a)
         raw = box_muller(u, dim, band)
         if resolved == "generic":
             n = np.arange(-band, band + 1)
@@ -912,7 +943,8 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
             symbols.append(raw)
         modes.append(resolved)
 
-    w = np.stack([sequence_multipliers(zeta, dim) for zeta in zetas])
+    ops = [turns_conjugation(a) for a in turns]
+    w = np.stack([np.conj(op.diagonal) for op in ops])
     halves = [i for i, s in enumerate(symbols) if not isinstance(s, LaurentSymbol)]
     if halves:
         half = np.stack([symbols[i] for i in halves])
@@ -920,12 +952,11 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
         completed[:, band] = half[:, 0]
         for i, c in zip(halves, completed):
             symbols[i] = LaurentSymbol(band, c)
-    ops = map(AntilinearMap, np.conj(w))
     records = [
         ExplorationRecord(trial, (seed, trial), resolved, symmetry_report(op, symbol, dim, tol))
         for trial, resolved, op, symbol in zip(trials, modes, ops, symbols)
     ]
-    return records, list(zip(zetas, symbols))
+    return records, list(zip(turns, symbols))
 
 
 class TestExplorationBlocks:
@@ -948,9 +979,9 @@ class TestExplorationBlocks:
         # each of explore's blocks draws what its trials draw alone
         for start in range(0, trials, step):
             block = range(start, min(start + step, trials))
-            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(block, dim, 8, 37, mode)
-            for t, zeta, c in zip(block, zetas, coeffs):
-                same_draws((zeta, LaurentSymbol(8, c)), trial_draws(t, dim, 8, seed=37, mode=mode))
+            _, turns, _, coeffs = hardyconj.toeplitz._block_draws(block, dim, 8, 37, mode)
+            for t, a, c in zip(block, turns, coeffs):
+                same_draws((a, LaurentSymbol(8, c)), trial_draws(t, dim, 8, seed=37, mode=mode))
 
     @pytest.mark.parametrize(
         "mode, dim, band, trials",
@@ -960,14 +991,23 @@ class TestExplorationBlocks:
     def test_block_draws_equal_the_per_trial_construction(self, mode, dim, band, trials):
         records = explore_symmetry(trials, dim, band, seed=53, mode=mode)
         reference, draws = per_trial_records(range(trials), dim, band, 53, mode)
-        modes, zetas, _, coeffs = hardyconj.toeplitz._block_draws(range(trials), dim, band, 53, mode)
-        assert len(records) == len(reference) == len(zetas) == trials
+        modes, turns, _, coeffs = hardyconj.toeplitz._block_draws(range(trials), dim, band, 53, mode)
+        assert len(records) == len(reference) == len(turns) == trials
         assert modes == [r.mode for r in reference]
         for t, (block, alone, expected) in enumerate(zip(records, reference, draws)):
             same_record(block, alone)
             same_record(run_trial(t, dim, band, seed=53, mode=mode), alone)
             same_draws(trial_draws(t, dim, band, seed=53, mode=mode), expected)
-            same_draws((zetas[t], LaurentSymbol(band, coeffs[t])), expected)
+            same_draws((turns[t], LaurentSymbol(band, coeffs[t])), expected)
+
+    @pytest.mark.parametrize("dim, band, trials", [(24, 4, 200), (512, 8, 3), (4096, 8, 40)])
+    def test_every_record_rebuilds_from_its_turns(self, dim, band, trials):
+        # the public replay path: the integer turns of trial_draws, through
+        # turns_conjugation, give the record's report bit for bit
+        for r in explore_symmetry(trials, dim, band, seed=67, mode="mixed"):
+            turns, symbol = trial_draws(r.trial, dim, band, seed=67)
+            report = symmetry_report(turns_conjugation(turns), symbol, dim)
+            same_record(r, ExplorationRecord(r.trial, r.seed, r.mode, report))
 
     def test_unitary_draws_follow_the_haar_unitary(self):
         # random_unitary draws two dim x dim normal matrices, and the symbol follows
@@ -1080,18 +1120,20 @@ class TestTrialSeeding:
         for t, expected in zip(trials, draws):
             same_draws(trial_draws(t, 24, 4, seed=seed), expected)
         if isinstance(trials, range):
-            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
-            for zeta, c, expected in zip(zetas, coeffs, draws):
-                same_draws((zeta, LaurentSymbol(4, c)), expected)
+            _, turns, _, coeffs = hardyconj.toeplitz._block_draws(trials, 24, 4, seed, "mixed")
+            for a, c, expected in zip(turns, coeffs, draws):
+                same_draws((a, LaurentSymbol(4, c)), expected)
 
     @pytest.mark.parametrize(
         "seed, trial, words",
         [(1, 0, {"dim": 24, "band": 4, "width": 44,
                  "raw": [0x1119EFBD6BC0CE3A, 0x143A31DF2C79CF7E],
-                 "uniforms": [0.0668020093396563, 0.07901298235490295]}),
+                 "uniforms": [0.0668020093396563, 0.07901298235490295],
+                 "turns": [601699008739353, 711685675781945]}),
          (10**40, 2**64 + 1, {"dim": 5, "band": 2, "width": 16,
                               "raw": [0xA783118AAE1A0D62, 0xCBD1B8519C550DDA],
-                              "uniforms": [0.6543436969351221, 0.7961688231701666]})],
+                              "uniforms": [0.6543436969351221, 0.7961688231701666],
+                              "turns": [5893804059378497, 7171251230706337]})],
     )
     def test_stream_is_pinned(self, seed, trial, words):
         # numpy keeps Philox's stream fixed, so only a change of key or row
@@ -1102,10 +1144,11 @@ class TestTrialSeeding:
         assert bit_generator.random_raw(2).tolist() == words["raw"]
         uniforms = trial_uniforms(seed, trial, dim, band)
         assert uniforms[:2].tolist() == words["uniforms"]
-        # the first two slots are the sequence's first two angles
-        zeta, _ = trial_draws(trial, dim, band, seed=seed, mode="generic")
-        expected = np.exp(1j * (2.0 * np.pi * np.array(words["uniforms"])))
-        assert zeta[:2].tobytes() == expected.tobytes()
+        # the first two slots are the sequence's first two turns, a_n = u_n * 2**53
+        turns, _ = trial_draws(trial, dim, band, seed=seed, mode="generic")
+        assert turns[:2].tolist() == words["turns"]
+        assert [u * 2**53 for u in words["uniforms"]] == words["turns"]
+        assert [r >> 11 for r in words["raw"]] == words["turns"]
 
     def test_large_seeds_and_trials_replay(self):
         trials, seed = [2, 2**32 - 1, 2**32, 2**64 + 1, 2**128 - 1], 10**40
@@ -1118,8 +1161,8 @@ class TestTrialSeeding:
                 hardyconj.toeplitz._run_block(block, 24, 4, seed, "mixed", tol))[-1], expected)
             same_record(run_trial(t, 24, 4, seed=seed), expected)
             same_draws(trial_draws(t, 24, 4, seed=seed), expected_draws)
-            _, zetas, _, coeffs = hardyconj.toeplitz._block_draws(block, 24, 4, seed, "mixed")
-            same_draws((zetas[-1], LaurentSymbol(4, coeffs[-1])), expected_draws)
+            _, turns, _, coeffs = hardyconj.toeplitz._block_draws(block, 24, 4, seed, "mixed")
+            same_draws((turns[-1], LaurentSymbol(4, coeffs[-1])), expected_draws)
 
     @pytest.mark.parametrize("mode", EXPLORE_MODES)
     def test_negative_seed_or_trial_is_numpys_error(self, mode):
@@ -1196,7 +1239,7 @@ class TestDrawDistribution:
         assert raw.tobytes() == expected.tobytes()
 
     def test_normals_and_angles_have_their_moments(self, monkeypatch):
-        (_, zetas, _, _), raw = block_normals(monkeypatch, range(1112), 24, 4, 11, "generic")
+        (_, turns, _, _), raw = block_normals(monkeypatch, range(1112), 24, 4, 11, "generic")
         x, y = raw.real.ravel(), raw.imag.ravel()
         n = x.size
         assert n >= 10_000
@@ -1206,20 +1249,20 @@ class TestDrawDistribution:
             assert abs(part.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
         # x y has mean 0 and variance 1 when the parts are independent standard normals
         assert abs(np.mean(x * y)) < 5.0 / np.sqrt(n)
-        angles = np.mod(np.angle(zetas), 2.0 * np.pi).ravel()
-        # uniform angles on [0, 2 pi) have standard deviation 2 pi / sqrt(12)
-        assert abs(angles.mean() - np.pi) < 5.0 * 2.0 * np.pi / np.sqrt(12.0 * angles.size)
+        turns = turns.ravel() / 2**53
+        # uniform turns on [0, 1) have standard deviation 1 / sqrt(12)
+        assert abs(turns.mean() - 0.5) < 5.0 / np.sqrt(12.0 * turns.size)
 
     @pytest.mark.parametrize("mode", ["symmetrized", "constant"])
     def test_onesided_half_is_the_generic_draw(self, monkeypatch, mode):
         dim, band, trials = 24, 4, range(3, 9)
-        (_, generic_zetas, _, generic), generic_raw = block_normals(
+        (_, generic_turns, _, generic), generic_raw = block_normals(
             monkeypatch, trials, dim, band, 23, "generic")
-        (_, zetas, _, coeffs), raw = block_normals(monkeypatch, trials, dim, band, 23, mode)
+        (_, turns, _, coeffs), raw = block_normals(monkeypatch, trials, dim, band, 23, mode)
         # c(n) has one slot in every mode, so the half is the generic row's n >= 0
         assert raw[:, band + 1 :].tobytes() == generic_raw[:, band + 1 :].tobytes()
         assert coeffs[:, band:].tobytes() == generic[:, band:].tobytes()
         if mode == "constant":
-            assert (zetas == generic_zetas[:, :1]).all()
+            assert (turns == generic_turns[:, :1]).all()
         else:
-            assert zetas.tobytes() == generic_zetas.tobytes()
+            assert turns.tobytes() == generic_turns.tobytes()
