@@ -62,7 +62,9 @@ if culprits:
           f"(holds: {again.report.coeff_condition_holds})")
     print(f"  from its draws      {replayed.max_coeff_violation:.3e} "
           f"(record: {first.report.max_coeff_violation:.3e})")
-    print(f"  residual            {again.report.residual:.3e}")
+    # holds is the oracle's verdict, carried in the report like the one-sided one
+    print(f"  residual            {again.report.residual:.3e} "
+          f"(holds: {again.report.holds})")
     print(f"  identical reports   {replayed == first.report == again.report}")
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def _cmd_check_conjugation(args) -> tuple[dict, dict, bool]:
 
 def _cmd_check_symmetry(args) -> tuple[dict, dict, bool]:
     spec = _json_arg(args.conjugation)
-    kind = spec.get("kind") if isinstance(spec, dict) else None
+    kind = jsonio._spec_kind(spec)
     if kind not in jsonio.DIAGONAL_KINDS:
         raise ValueError(
             f"check-symmetry needs a diagonal conjugation kind {jsonio.DIAGONAL_KINDS}, "
@@ -162,7 +162,7 @@ def _cmd_check_symmetry(args) -> tuple[dict, dict, bool]:
         "n": args.n,
         "tol": args.tol,
     }
-    return inputs, jsonio.report_to_json(result), result.residual <= args.tol
+    return inputs, jsonio.report_to_json(result), result.holds
 
 
 def _cmd_gen_symbol(args) -> tuple[dict, dict, bool]:
@@ -184,6 +184,10 @@ def _cmd_gen_symbol(args) -> tuple[dict, dict, bool]:
     zeta = []
     if args.sequence:
         zeta = jsonio.parse_sequence_spec(given["sequence"], band, start_index=1)
+    elif band:
+        raise ValueError(
+            f"--onesided goes up to index {band}: give --sequence for zeta_1..zeta_{band}"
+        )
     symbol = generate_symmetric_symbol(onesided, zero_coeff=zero_coeff, zeta=zeta)
     # the symbol file itself is the deterministic artifact; the report goes to stdout
     jsonio.save_symbol(symbol, args.out)

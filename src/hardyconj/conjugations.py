@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import _STACK_ENTRIES, DEFAULT_TOL, AntilinearMap, apply_antilinear, frobenius_norm
 
 __all__ = [
@@ -400,13 +401,12 @@ def verify_conjugation(
         back = np.linalg.norm(apply_antilinear(op, cf) - f, axis=1)
         involution = max(involution, _residual(np.max(back)))
 
-    tol = float(tol)
-    passed = max(isometry, involution, a_unitarity, a_symmetry) <= tol
+    (passed,) = core._verdict([max(isometry, involution, a_unitarity, a_symmetry)], tol)
     return ConjugationCert(
         isometry_residual=isometry,
         involution_residual=involution,
         a_unitarity_residual=a_unitarity,
         a_symmetry_residual=a_symmetry,
-        tol=tol,
+        tol=float(tol),
         passed=passed,
     )

@@ -31,6 +31,17 @@ DEFAULT_TOL = 1e-10
 _STACK_ENTRIES = 2**16
 
 
+def _verdict(values, tol) -> list[bool]:
+    """The verdict ``value <= tol`` of each of ``values``, as Python bools.
+
+    Every verdict of the library is made here: the residual oracle's, both
+    coefficient criteria's and the conjugation certificate's. Callers look
+    it up on this module when they call it, so the rule is one function.
+    """
+    tol = float(tol)
+    return [v <= tol for v in values]
+
+
 def _as_operator(matrix) -> np.ndarray:
     """Coerce to a finite, nonempty square complex128 matrix."""
     m = np.asarray(matrix, dtype=np.complex128)

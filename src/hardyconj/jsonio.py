@@ -147,9 +147,7 @@ def conjugation_from_spec(spec: dict, dim: int) -> AntilinearMap:
     "alpha"/"zeta"; "seed" for "unitary-seed". Reports echo the spec as
     given, so ``conjugation_from_spec(echo, n)`` rebuilds the map bit for bit.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"conjugation spec must be an object, got {type(spec).__name__}")
-    kind = spec.get("kind")
+    kind = _spec_kind(spec)
     if kind not in CONJUGATION_KINDS:
         raise ValueError(f"unknown conjugation kind {kind!r}, expected one of {CONJUGATION_KINDS}")
     keys = {"kind", _PARAMETER[kind]} if kind in _PARAMETER else {"kind"}
@@ -168,6 +166,13 @@ def conjugation_from_spec(spec: dict, dim: int) -> AntilinearMap:
         return sequence_conjugation(parse_sequence_spec(spec["sequence"], dim - 1, start_index=1))
     seed = _json_number(spec["seed"], "seed", integer=True)
     return conjugation_from_unitary(random_unitary(dim, seed))
+
+
+def _spec_kind(spec):
+    """The "kind" of a conjugation spec, which must be a JSON object; None if absent."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"conjugation spec must be an object, got {type(spec).__name__}")
+    return spec.get("kind")
 
 
 def parse_indexed_coefficients(entries, key: str) -> dict[int, complex]:
@@ -281,24 +286,31 @@ def _record_lines(block) -> str:
     """``json_line(record_to_json(r))`` of every record of an explore block, joined.
 
     One fixed layout, keys in sorted order, is filled from the block's
-    columns (``toeplitz._run_block``), so no record or dict is built.
+    columns (``toeplitz._run_block``), so no record or dict is built. The
+    text that a row's mode and verdicts fix is made once for each distinct
+    combination of them, not once per row.
     """
     seed, (tol,) = block.seed, _floats([block.tol])
-    modes = {m: _LINE.encode(m) for m in set(block.modes)}
-    columns = zip(
+    kinds = list(zip(block.modes, block.agree, block.onesided_holds, block.entrywise_holds,
+                     block.holds))
+    fixed = {
+        (m, a, oh, eh, h): (
+            f'{{"mode":{_LINE.encode(m)},"report":{{"agree":{_LITERALS[a]},'
+            f'"coeff_condition_holds":{_LITERALS[oh]},"entrywise_holds":{_LITERALS[eh]},'
+            f'"entrywise_violation":',
+            f',"holds":{_LITERALS[h]},"max_coeff_violation":',
+        )
+        for m, a, oh, eh, h in set(kinds)
+    }
+    tail = f',"tol":{tol}}},"seed":[{seed},'
+    rows = zip(
+        map(fixed.__getitem__, kinds),
         block.trials,
-        block.modes,
         _floats(block.residual),
         _floats(block.onesided),
         _floats(block.entrywise),
-        block.onesided_holds,
-        block.entrywise_holds,
-        block.agree,
     )
     return "".join([
-        f'{{"mode":{modes[m]},"report":{{"agree":{_LITERALS[a]},'
-        f'"coeff_condition_holds":{_LITERALS[oh]},"entrywise_holds":{_LITERALS[eh]},'
-        f'"entrywise_violation":{e},"max_coeff_violation":{o},"residual":{r},"tol":{tol}}},'
-        f'"seed":[{seed},{t}],"trial":{t}}}\n'
-        for t, m, r, o, e, oh, eh, a in columns
+        f'{head}{e}{middle}{o},"residual":{r}{tail}{t}],"trial":{t}}}\n'
+        for (head, middle), t, r, o, e in rows
     ])

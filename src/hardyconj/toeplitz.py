@@ -56,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import core
 from .conjugations import (
     _complex_gaussian,
     _TURNS,
@@ -401,8 +402,8 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     if w.size < m + 1:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
     violation = float(_onesided_violation(symbol.coeffs[None], w[None])[0])
-    tol = float(tol)
-    return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
+    (holds,) = core._verdict([violation], tol)
+    return ConditionReport(holds=holds, max_violation=violation, tol=float(tol))
 
 
 def entrywise_condition(
@@ -425,8 +426,8 @@ def entrywise_condition(
     if w.size < dim:
         raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
     violation = float(_offset_criteria(symbol.coeffs[None], w[None, :dim])[0][0])
-    tol = float(tol)
-    return ConditionReport(holds=violation <= tol, max_violation=violation, tol=tol)
+    (holds,) = core._verdict([violation], tol)
+    return ConditionReport(holds=holds, max_violation=violation, tol=float(tol))
 
 
 def rotation_condition(symbol: LaurentSymbol, lam: complex, tol: float = DEFAULT_TOL) -> ConditionReport:
@@ -460,32 +461,35 @@ def generate_symmetric_symbol(onesided, zero_coeff: complex = 0.0, zeta=()) -> L
     band = max(items, default=0)
     w = sequence_multipliers(zeta, band + 1)
     n = np.fromiter(items, dtype=np.intp, count=len(items))
-    values = np.fromiter(items.values(), dtype=np.complex128, count=len(items))
-    c = _completed(band, n, values, w)
+    c = np.zeros(2 * band + 1, dtype=np.complex128)
+    c[band + n] = np.fromiter(items.values(), dtype=np.complex128, count=len(items))
+    # only the given indices: an absent one keeps c(-n) = +0, not c(n) * w_n's signed zero
+    c[band - n] = _mirrored(c, w)[band - n]
     c[band] = zero_coeff
     return LaurentSymbol(band, c)
 
 
-def _completed(band: int, n: np.ndarray, values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients c(-band) .. c(band) along the last axis of a stack.
+def _mirrored(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The completion c(-n) = c(n) * w_n, n = band .. 1, of each row of a stack.
 
-    c(n) = values and c(-n) = values * w_n, formed as in the one-sided
-    check; every other entry, c(0) included, is zero.
+    ``c`` holds c(-band) .. c(band) along its last axis and ``w`` at least
+    w_0 .. w_band; the result holds c(-band) .. c(-1), formed as in the
+    one-sided check, so a completed row meets it with violation exactly zero.
     """
-    c = np.zeros(values.shape[:-1] + (2 * band + 1,), dtype=np.complex128)
-    c[..., band + n] = values
-    c[..., band - n] = _times(values, w[..., n])
-    return c
+    band = c.shape[-1] // 2
+    return _times(c[..., :band:-1], w[..., band:0:-1])
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Operator residual next to the coefficient-criterion verdicts.
+    """Operator residual and its verdict next to the coefficient-criterion verdicts.
 
     ``residual`` always covers the full section, so the report carries no
     window. For a diagonal map it is computed offset by offset, for a
     dense one from the section (:func:`symmetry_residual`); the two agree
-    to roundoff.
+    to roundoff. ``holds`` is the oracle's verdict on it, the answer to
+    whether the section is C-symmetric; like every verdict of the report
+    it is made by ``core._verdict`` (``value <= tol``).
     ``coeff_condition_holds`` and ``max_coeff_violation`` refer to the
     one-sided criterion; ``agree`` records whether that verdict matches
     the residual oracle at the same tolerance. The entrywise fields hold
@@ -498,6 +502,7 @@ class SymmetryReport:
     """
 
     residual: float
+    holds: bool
     coeff_condition_holds: bool | None
     max_coeff_violation: float | None
     agree: bool | None
@@ -542,10 +547,10 @@ def symmetry_report(
 class _Block(NamedTuple):
     """Trials checked together, as columns: one list entry per trial.
 
-    ``holds`` is the oracle's verdict ``residual <= tol``. A dense map has
-    no criteria: its ``onesided`` and ``entrywise`` values and their
-    verdicts, ``agree`` included, are None. A lone report is a block with
-    no trials, modes or seed.
+    ``holds`` is the oracle's verdict on ``residual``, each report's
+    ``holds``. A dense map has no criteria: its ``onesided`` and
+    ``entrywise`` values and their verdicts, ``agree`` included, are None.
+    A lone report is a block with no trials, modes or seed.
     """
 
     tol: float
@@ -564,22 +569,20 @@ class _Block(NamedTuple):
 def _columns(tol, residual, onesided=None, entrywise=None, **trials) -> _Block:
     """A block from its (k,) value arrays, with the verdicts of its rows.
 
-    Every verdict of :func:`symmetry_report` and of explore's blocks is
-    made here, one pass over the block's values compared with
-    ``float(tol)``, so each is a Python bool. :func:`onesided_condition`,
-    :func:`entrywise_condition` and ``verify_conjugation`` make theirs the
-    same way; :func:`summarize_exploration` and ``check-symmetry`` compare
-    ``residual <= tol`` again. ``trials`` are the block's trials, modes and seed.
+    The verdicts of :func:`symmetry_report` and of explore's blocks are
+    made here, one ``core._verdict`` call per value column, so each is a
+    Python bool; the reports, record lines, summaries and exit codes read
+    them. ``trials`` are the block's trials, modes and seed.
     """
     tol = float(tol)
     residual = residual.tolist()
-    holds = [r <= tol for r in residual]
+    holds = core._verdict(residual, tol)
     if onesided is None:
         none = [None] * len(residual)
         return _Block(tol, residual, none, none, holds, none, none, none, **trials)
     onesided, entrywise = onesided.tolist(), entrywise.tolist()
-    onesided_holds = [o <= tol for o in onesided]
-    entrywise_holds = [e <= tol for e in entrywise]
+    onesided_holds = core._verdict(onesided, tol)
+    entrywise_holds = core._verdict(entrywise, tol)
     agree = list(map(operator.eq, onesided_holds, holds))
     return _Block(tol, residual, onesided, entrywise, holds, onesided_holds,
                   entrywise_holds, agree, **trials)
@@ -587,11 +590,13 @@ def _columns(tol, residual, onesided=None, entrywise=None, **trials) -> _Block:
 
 def _reports(b: _Block) -> list[SymmetryReport]:
     """The report of each row of a block."""
-    return list(map(SymmetryReport, b.residual, b.onesided_holds, b.onesided, b.agree,
-                    repeat(b.tol), b.entrywise_holds, b.entrywise))
+    return list(map(SymmetryReport, b.residual, b.holds, b.onesided_holds, b.onesided,
+                    b.agree, repeat(b.tol), b.entrywise_holds, b.entrywise))
 
 
 EXPLORE_MODES = ("mixed", "generic", "symmetrized", "constant", "unitary")
+#: The modes a diagonal row resolves to; ``mixed`` cycles them by trial, t % 3.
+_DIAGONAL_MODES = EXPLORE_MODES[1:4]
 
 
 @dataclass(frozen=True)
@@ -661,22 +666,23 @@ def _block_draws(trials: range, dim: int, band: int, seed: int, mode: str) -> tu
     bit_generator = np.random.Philox(seed)
     bit_generator.advance(trials.start * width // 4)
     u = np.random.Generator(bit_generator).random((len(trials), width))
-    modes = [("generic", "symmetrized", "constant")[t % 3] if mode == "mixed" else mode for t in trials]
-    resolved = np.array(modes)
+    # each row's mode as its index in _DIAGONAL_MODES: 0 generic, 1 symmetrized, 2 constant
+    if mode == "mixed":
+        codes = (np.arange(len(trials)) + trials.start % 3) % 3
+    else:
+        codes = np.full(len(trials), _DIAGONAL_MODES.index(mode))
     # u = m * 2**-53 with m an integer below 2**53, so the scaling is exact
     turns = (u[:, : dim - 1] * _TURNS).astype(np.uint64)
-    turns[resolved == "constant"] = turns[resolved == "constant", :1]
+    constant = codes == 2
+    turns[constant] = turns[constant, :1]
     pairs = u[:, dim - 1 : dim - 1 + 2 * (2 * band + 1)]
     raw = np.sqrt(-2.0 * np.log1p(-pairs[:, ::2])) * np.exp(2j * np.pi * pairs[:, 1::2])
 
     w = _turn_powers(turns)
     coeffs = _damped(raw)
-    # a one-sided half keeps c(0) .. c(band) and is completed to the negative side
-    half = resolved != "generic"
-    completed = _completed(band, np.arange(1, band + 1), coeffs[half, band + 1 :], w[half])
-    completed[:, band] = coeffs[half, band]
-    coeffs[half] = completed
-    return modes, turns, w, coeffs
+    # a one-sided half (not generic) keeps c(0) .. c(band) and is completed to the negative side
+    np.copyto(coeffs[:, :band], _mirrored(coeffs, w), where=codes[:, None] != 0)
+    return list(map(_DIAGONAL_MODES.__getitem__, codes.tolist())), turns, w, coeffs
 
 
 def _run_block(trials: range, dim: int, band: int, seed: int, mode: str, tol: float) -> _Block:
@@ -803,13 +809,14 @@ def summarize_exploration(records) -> dict:
     trials the entrywise criterion and the oracle judge differently (as
     residual >= sqrt(2) * entrywise, only by the entrywise check passing
     what the residual rejects), and the largest residual among trials
-    where the one-sided criterion holds. The ``explore`` command folds its
-    blocks' columns through the same code, so this is the reference for
-    its summary line.
+    where the one-sided criterion holds. Every verdict is read from the
+    reports, the oracle's from ``holds``; none is made again. The
+    ``explore`` command folds its blocks' columns through the same code,
+    so this is the reference for its summary line.
     """
     reports = ((r.trial, r.report) for r in records)
     return _summary(
-        (t, p.residual, p.residual <= p.tol, p.coeff_condition_holds, p.entrywise_holds, p.agree)
+        (t, p.residual, p.holds, p.coeff_condition_holds, p.entrywise_holds, p.agree)
         for t, p in reports
     )
 

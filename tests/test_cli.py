@@ -15,20 +15,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hardyconj.core
 import hardyconj.toeplitz
 from hardyconj import (
+    AntilinearMap,
+    LaurentSymbol,
     canonical_conjugation,
     cli,
     conjugation_from_unitary,
+    entrywise_condition,
     explore_symmetry,
+    onesided_condition,
     phase_conjugation,
     random_unitary,
     rotation_conjugation,
     sequence_conjugation,
     summarize_exploration,
+    symmetry_report,
+    verify_conjugation,
 )
 from hardyconj.cli import MAX_GEN_BAND, build_parser, main
-from hardyconj.jsonio import canonical_json, conjugation_from_spec, json_line, record_to_json
+from hardyconj.jsonio import (
+    canonical_json,
+    conjugation_from_spec,
+    json_line,
+    record_to_json,
+    save_symbol,
+)
 from hardyconj.toeplitz import run_trial
 
 QUARTER_TURN_SEQ = '{"values":[{"re":0.0,"im":1.0}]}'
@@ -325,6 +338,17 @@ class TestCheckSymmetry:
         assert_one_line_usage_error(code, err)
         assert "band" in err
 
+    @pytest.mark.parametrize(
+        "spec, kind", [('"j"', "str"), ("[1]", "list"), ("null", "NoneType"), ("1", "int")]
+    )
+    def test_spec_that_is_not_an_object_is_usage_error(self, spec, kind, tmp_path, capsys):
+        symbol = self.gen(tmp_path, capsys, mirror_im=None)
+        code, _, err = run(
+            ["check-symmetry", "--symbol", str(symbol), "--conjugation", spec, "--n", "8"], capsys
+        )
+        assert_one_line_usage_error(code, err)
+        assert f"conjugation spec must be an object, got {kind}" in err
+
     def test_dense_kind_rejected(self, tmp_path, capsys):
         symbol = self.gen(tmp_path, capsys, mirror_im=None)
         code, _, err = run(
@@ -380,6 +404,15 @@ class TestGenSymbol:
         )
         assert code == 2
         assert "missing" in err
+
+    def test_onesided_without_sequence_names_the_flag(self, tmp_path, capsys):
+        code, _, err = run(
+            ["gen-symbol", "--onesided", '[{"n":3,"re":1.0}]', "--out", str(tmp_path / "x.json")],
+            capsys,
+        )
+        assert_one_line_usage_error(code, err)
+        assert "--sequence" in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_index_just_above_the_limit_is_usage_error(self, tmp_path, capsys):
         # a constant sequence has no length, so the index alone sizes the symbol
@@ -758,6 +791,60 @@ class TestExplore:
         )
         assert code == 2
         assert "band" in err
+
+
+class TestOneVerdictRule:
+    """Every verdict is made by ``core._verdict``: replace the rule and each consumer follows."""
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_every_consumer_follows_the_rule(self, verdict, tmp_path, capsys, monkeypatch):
+        symbols = [tmp_path / "symmetric.json", tmp_path / "asymmetric.json"]
+        save_symbol(LaurentSymbol.from_pairs({-1: 1.0, 0: 2.0, 1: 1.0}), symbols[0])
+        save_symbol(LaurentSymbol.from_pairs({-1: 3.0, 1: 1.0}), symbols[1])
+        explore = ["explore", "--trials", "12", "--n", "16", "--band", "3", "--seed", "2",
+                   "--out", str(tmp_path / "r.jsonl")]
+        # under the library's own rule the verdicts differ, and explore's is negative
+        check = [["check-symmetry", "--symbol", str(path), "--conjugation", '{"kind":"j"}']
+                 for path in symbols]
+        assert [run(argv, capsys)[0] for argv in check] == [0, 1]
+        assert run(explore, capsys)[0] == 1
+
+        monkeypatch.setattr(
+            hardyconj.core, "_verdict", lambda values, tol: [verdict for _ in values]
+        )
+        rng = np.random.default_rng(131)
+        op = sequence_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 7)))
+        sym = LaurentSymbol.from_pairs({-2: 1.0, 1: 0.5j, 2: -1.0})
+        report = symmetry_report(op, sym, 8)
+        verdicts = (report.holds, report.coeff_condition_holds, report.entrywise_holds)
+        assert verdicts == (verdict,) * 3 and report.agree is True
+        dense = conjugation_from_unitary(random_unitary(8, 3))
+        assert symmetry_report(dense, sym, 8).holds is verdict
+        w = np.conj(op.diagonal)
+        assert onesided_condition(sym, w).holds is verdict
+        assert entrywise_condition(sym, w, 8).holds is verdict
+        assert verify_conjugation(op, trials=4).passed is verdict
+        assert verify_conjugation(AntilinearMap(2.0 * np.ones(8)), trials=4).passed is verdict
+
+        records = explore_symmetry(12, 16, 3, seed=2)
+        records += explore_symmetry(3, 8, 2, seed=2, mode="unitary")
+        for r in records:
+            assert r.report.holds is verdict, r.trial
+            assert r.report.coeff_condition_holds in (verdict, None), r.trial
+        summary = summarize_exploration(records)
+        assert (summary["onesided_disagreements"], summary["entrywise_mismatch_trials"]) == (0, [])
+        assert summary["max_residual_when_condition_holds"] == (
+            max(r.report.residual for r in records[:12]) if verdict else None
+        )
+
+        for argv in check:
+            code, out, _ = run(argv, capsys)
+            assert code == (0 if verdict else 1)
+            assert stdout_json(out)["results"]["holds"] is verdict
+        code, out, _ = run(explore, capsys)
+        assert code == 0 and stdout_json(out)["results"] == summarize_exploration(records[:12])
+        lines = (tmp_path / "r.jsonl").read_text().splitlines()[:-1]
+        assert {json.loads(line)["report"]["holds"] for line in lines} == {verdict}
 
 
 def rebuilt_explore(trials, n, band, seed, mode, out):

@@ -345,13 +345,13 @@ def explore_block(seed, tol, rows):
 def reference_lines(block):
     """``json_line(record_to_json(r))`` of the records the block's columns describe."""
     b = block
-    rows = zip(b.trials, b.modes, b.residual, b.onesided_holds, b.onesided, b.agree,
+    rows = zip(b.trials, b.modes, b.residual, b.holds, b.onesided_holds, b.onesided, b.agree,
                b.entrywise_holds, b.entrywise)
     return "".join(
         json_line(record_to_json(ExplorationRecord(t, (b.seed, t), m, SymmetryReport(
-            r, oh, o, a, b.tol, eh, e
+            r, h, oh, o, a, b.tol, eh, e
         ))))
-        for t, m, r, oh, o, a, eh, e in rows
+        for t, m, r, h, oh, o, a, eh, e in rows
     )
 
 

@@ -442,6 +442,15 @@ class TestGenerateSymmetricSymbol:
             )
             assert residual <= 1e-12
 
+    def test_absent_indices_stay_positive_zero(self):
+        # c(n) * w_n of an absent c(n) = 0 is -0.0 in a part for w_n in the
+        # second or third quadrant; only the given indices are completed
+        rng = np.random.default_rng(127)
+        for _ in range(20):
+            c = generate_symmetric_symbol({8: 1.0, 3: 2.0}, zeta=random_zeta(rng, 8)).coeffs
+            absent = [8 - n for n in (1, 2, 4, 5, 6, 7)] + [8 + n for n in (1, 2, 4, 5, 6, 7)]
+            assert not np.signbit(c[absent].real).any() and not np.signbit(c[absent].imag).any()
+
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError, match="indexed from 1"):
             generate_symmetric_symbol({0: 1.0})
@@ -501,6 +510,20 @@ class TestSymmetryReport:
         assert report.coeff_condition_holds is True
         assert report.entrywise_holds is not None
         assert report.agree == ((report.residual <= report.tol) is True)
+
+    def test_holds_is_the_oracle_verdict(self):
+        # a lone report, diagonal, dense and dense-diagonal, with tol below, at and above its residual
+        rng = np.random.default_rng(113)
+        sym = random_symbol(3, rng)
+        diagonal = sequence_conjugation(random_zeta(rng, 11))
+        maps = (diagonal, AntilinearMap(diagonal.a_matrix), conjugation_from_unitary(random_unitary(12, 5)))
+        for op in maps:
+            residual = symmetry_report(op, sym, 12).residual
+            for tol in (residual / 2, residual, 2 * residual):
+                report = symmetry_report(op, sym, 12, tol=tol)
+                assert report.holds is (report.residual <= tol), (op.diagonal is None, tol)
+        zeta = np.full(11, np.exp(0.7j))
+        assert symmetry_report(sequence_conjugation(zeta), symmetrized_symbol(rng, 3, zeta), 12).holds
 
     def test_band_beyond_section_rejected(self):
         sym = LaurentSymbol.from_pairs({5: 1.0})
@@ -759,6 +782,16 @@ class TestExploration:
             assert r.report.coeff_condition_holds is True
             assert r.report.entrywise_holds == (r.report.residual <= r.report.tol)
 
+    @pytest.mark.parametrize("mode", EXPLORE_MODES)
+    def test_holds_is_the_oracle_verdict(self, mode):
+        # at the default tol and at the median residual, where both verdicts occur
+        residuals = sorted(r.report.residual for r in explore_symmetry(40, 12, 2, seed=19, mode=mode))
+        for tol in (1e-10, residuals[20]):
+            records = explore_symmetry(40, 12, 2, seed=19, mode=mode, tol=tol)
+            for r in records:
+                assert r.report.holds is (r.report.residual <= tol), (tol, r.trial)
+        assert {r.report.holds for r in records} == {True, False}
+
     def test_unitary_mode_reports_residual_only(self):
         records = explore_symmetry(5, 12, 2, seed=17, mode="unitary")
         for r in records:
@@ -771,16 +804,16 @@ class TestExploration:
     def test_summary_of_hand_made_records(self):
         # every summary field from reports whose verdicts are given, not computed:
         # a dense trial, a disagreement, an entrywise mismatch and two holding trials
-        def record(trial, residual, onesided=None, entrywise=None, agree=None):
-            report = SymmetryReport(residual, onesided, 0.0, agree, 1e-10, entrywise, 0.0)
+        def record(trial, residual, holds, onesided=None, entrywise=None, agree=None):
+            report = SymmetryReport(residual, holds, onesided, 0.0, agree, 1e-10, entrywise, 0.0)
             return ExplorationRecord(trial, (3, trial), "generic", report)
 
         records = [
-            record(0, 0.5),
-            record(1, 0.5, onesided=True, entrywise=False, agree=False),
-            record(2, 1e-12, onesided=False, entrywise=False, agree=False),
-            record(3, 2e-11, onesided=True, entrywise=True, agree=True),
-            record(4, 1e-11, onesided=True, entrywise=True, agree=True),
+            record(0, 0.5, False),
+            record(1, 0.5, False, onesided=True, entrywise=False, agree=False),
+            record(2, 1e-12, True, onesided=False, entrywise=False, agree=False),
+            record(3, 2e-11, True, onesided=True, entrywise=True, agree=True),
+            record(4, 1e-11, True, onesided=True, entrywise=True, agree=True),
         ]
         assert summarize_exploration(records) == {
             "trials": 5,
@@ -923,7 +956,8 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
     sequence), and its map is ``turns_conjugation`` of them; the pairs
     after them give its normals by :func:`box_muller`. A generic symbol is
     ``1.0 * raw / (1 + |n|)``; a one-sided half keeps n >= 0, damped in
-    place, and the halves are then completed and each trial checked alone.
+    place, and each half is completed entry by entry, c(-n) = c(n) * w_n
+    in scalar real arithmetic, and each trial checked alone.
     """
     modes, turns, symbols = [], [], []
     for trial in trials:
@@ -945,13 +979,14 @@ def per_trial_records(trials, dim, band, seed, mode, tol=hardyconj.toeplitz.DEFA
 
     ops = [turns_conjugation(a) for a in turns]
     w = np.stack([np.conj(op.diagonal) for op in ops])
-    halves = [i for i, s in enumerate(symbols) if not isinstance(s, LaurentSymbol)]
-    if halves:
-        half = np.stack([symbols[i] for i in halves])
-        completed = hardyconj.toeplitz._completed(band, np.arange(1, band + 1), half[:, 1:], w[halves])
-        completed[:, band] = half[:, 0]
-        for i, c in zip(halves, completed):
-            symbols[i] = LaurentSymbol(band, c)
+    for i, half in enumerate(symbols):
+        if not isinstance(half, LaurentSymbol):
+            # (a + ib)(c + id) with the products and sums of the real form, one float at a time
+            a, b = half.real.tolist(), half.imag.tolist()
+            c, d = w[i].real.tolist(), w[i].imag.tolist()
+            mirror = [complex(a[n] * c[n] - b[n] * d[n], a[n] * d[n] + b[n] * c[n])
+                      for n in range(band, 0, -1)]
+            symbols[i] = LaurentSymbol(band, np.concatenate([mirror, half]))
     records = [
         ExplorationRecord(trial, (seed, trial), resolved, symmetry_report(op, symbol, dim, tol))
         for trial, resolved, op, symbol in zip(trials, modes, ops, symbols)
