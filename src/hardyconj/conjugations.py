@@ -253,12 +253,13 @@ def conjugation_from_unitary(u) -> AntilinearMap:
     Every conjugation on the full space arises this way, and the factor
     U^H conj(U) is automatically unitary and transpose-symmetric. A ``u``
     with ||U*U - I||_F above ``_UNITARY_TOL`` (1e-8) raises
-    :class:`NotUnitaryError`.
+    :class:`NotUnitaryError`, as does one whose residual is not finite
+    (a NaN or inf entry, or a product that overflows).
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    residual = frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    residual = _residual(frobenius_norm(u.conj().T @ u - np.eye(u.shape[0])))
     if residual > _UNITARY_TOL:
         raise NotUnitaryError(residual, _UNITARY_TOL)
     return AntilinearMap(u.conj().T @ np.conj(u))

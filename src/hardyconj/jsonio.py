@@ -286,31 +286,26 @@ def _record_lines(block) -> str:
     """``json_line(record_to_json(r))`` of every record of an explore block, joined.
 
     One fixed layout, keys in sorted order, is filled from the block's
-    columns (``toeplitz._run_block``), so no record or dict is built. The
-    text that a row's mode and verdicts fix is made once for each distinct
-    combination of them, not once per row.
+    columns (``toeplitz._run_block``), so no record or dict is built. A
+    mode name is written as it is: every name in ``EXPLORE_MODES`` is its
+    own JSON text.
     """
     seed, (tol,) = block.seed, _floats([block.tol])
-    kinds = list(zip(block.modes, block.agree, block.onesided_holds, block.entrywise_holds,
-                     block.holds))
-    fixed = {
-        (m, a, oh, eh, h): (
-            f'{{"mode":{_LINE.encode(m)},"report":{{"agree":{_LITERALS[a]},'
-            f'"coeff_condition_holds":{_LITERALS[oh]},"entrywise_holds":{_LITERALS[eh]},'
-            f'"entrywise_violation":',
-            f',"holds":{_LITERALS[h]},"max_coeff_violation":',
-        )
-        for m, a, oh, eh, h in set(kinds)
-    }
-    tail = f',"tol":{tol}}},"seed":[{seed},'
-    rows = zip(
-        map(fixed.__getitem__, kinds),
+    columns = zip(
         block.trials,
+        block.modes,
         _floats(block.residual),
         _floats(block.onesided),
         _floats(block.entrywise),
+        block.holds,
+        block.onesided_holds,
+        block.entrywise_holds,
+        block.agree,
     )
     return "".join([
-        f'{head}{e}{middle}{o},"residual":{r}{tail}{t}],"trial":{t}}}\n'
-        for (head, middle), t, r, o, e in rows
+        f'{{"mode":"{m}","report":{{"agree":{_LITERALS[a]},'
+        f'"coeff_condition_holds":{_LITERALS[oh]},"entrywise_holds":{_LITERALS[eh]},'
+        f'"entrywise_violation":{e},"holds":{_LITERALS[h]},"max_coeff_violation":{o},'
+        f'"residual":{r},"tol":{tol}}},"seed":[{seed},{t}],"trial":{t}}}\n'
+        for t, m, r, o, e, h, oh, eh, a in columns
     ])

@@ -310,9 +310,9 @@ def _offset_criteria(coeffs, w):
     (k,) float arrays, are two norms of one array, max |x| and
     sqrt(2 * sum |x|^2): residual >= sqrt(2) * entrywise up to the rounding
     of the sum, wherever |x|^2 does not underflow. Each offset is one set
-    of array operations over the whole stack, in work arrays of O(k * N)
-    entries allocated once per call. Rows never mix, so a row's results
-    have the same bits whatever else is stacked with it.
+    of array operations over the whole stack, on fresh O(k * N) temporaries.
+    Rows never mix, so a row's results have the same bits whatever else is
+    stacked with it.
     """
     k, dim = w.shape
     band = coeffs.shape[1] // 2
@@ -320,25 +320,17 @@ def _offset_criteria(coeffs, w):
     # column p of plus / minus is c(p) / c(-p) for p = 0 .. band, shaped (k, 1)
     plus = coeffs[:, band:, None]
     minus = coeffs[:, band::-1, None]
-    # reused across offsets: at large N a fresh temporary per operation is
-    # paged in anew each time
-    x_work = np.empty((k, dim - 1), dtype=np.complex128)
-    y_work = np.empty_like(x_work)
-    real_work = np.empty((k, 2 * (dim - 1)))
-    x_parts = x_work.view(np.float64)  # real and imaginary parts, interleaved
     peaks = np.zeros((k, m + 1))  # column p: each trial's largest gap at offset p
     squares = np.zeros((k, m + 1))  # column p: each trial's sum of squares at offset p
     for p in range(1, m + 1):
-        n = dim - p
-        x, y = x_work[:, :n], y_work[:, :n]
-        np.multiply(w[:, p:], plus[:, p], x)
-        np.multiply(w[:, :n], minus[:, p], y)
-        np.subtract(x, y, x)
+        x = w[:, p:] * plus[:, p]
+        x -= w[:, : dim - p] * minus[:, p]
         # the vector abs, as in the dense section reference
-        np.abs(x, real_work[:, :n]).max(axis=1, out=peaks[:, p])
-        # square, then sum along rows: unlike einsum, or a sum down a
-        # column, this gives a row the same bits at any stack height
-        np.square(x_parts[:, : 2 * n], real_work[:, : 2 * n]).sum(axis=1, out=squares[:, p])
+        peaks[:, p] = np.abs(x).max(axis=1)
+        # square the real and imaginary parts, then sum along rows: unlike
+        # einsum, or a sum down a column, this gives a row the same bits at
+        # any stack height
+        squares[:, p] = np.square(x.view(np.float64)).sum(axis=1)
     return peaks.max(axis=1), np.sqrt(2.0 * squares.sum(axis=1))
 
 
@@ -380,6 +372,16 @@ def _multipliers(d: np.ndarray) -> np.ndarray:
     return np.conj(d) * d[..., :1]
 
 
+def _multiplier_row(multipliers, count: int) -> np.ndarray:
+    """Multipliers w_0 .. w_{count-1}, checked 1-D and long enough, as one (1, count) row."""
+    w = np.asarray(multipliers, dtype=np.complex128)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
+    if w.size < count:
+        raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{count - 1}")
+    return w[None, :count]
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of a coefficient criterion: flag plus worst violation."""
@@ -395,13 +397,8 @@ def onesided_condition(symbol: LaurentSymbol, multipliers, tol: float = DEFAULT_
     Negative n give the equivalent constraints (the multipliers are
     unimodular), so scanning n >= 0 suffices.
     """
-    m = symbol.band
-    w = np.asarray(multipliers, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
-    if w.size < m + 1:
-        raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{m}")
-    violation = float(_onesided_violation(symbol.coeffs[None], w[None])[0])
+    w = _multiplier_row(multipliers, symbol.band + 1)
+    violation = float(_onesided_violation(symbol.coeffs[None], w)[0])
     (holds,) = core._verdict([violation], tol)
     return ConditionReport(holds=holds, max_violation=violation, tol=float(tol))
 
@@ -420,12 +417,8 @@ def entrywise_condition(
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    w = np.asarray(multipliers, dtype=np.complex128)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-D multiplier array, got shape {w.shape}")
-    if w.size < dim:
-        raise ValueError(f"multipliers cover 0..{w.size - 1}, need 0..{dim - 1}")
-    violation = float(_offset_criteria(symbol.coeffs[None], w[None, :dim])[0][0])
+    w = _multiplier_row(multipliers, dim)
+    violation = float(_offset_criteria(symbol.coeffs[None], w)[0][0])
     (holds,) = core._verdict([violation], tol)
     return ConditionReport(holds=holds, max_violation=violation, tol=float(tol))
 

@@ -396,6 +396,17 @@ class TestConjugationFromUnitary:
             conjugation_from_unitary(2.0 * np.eye(3))
         assert err.value.residual == pytest.approx(3.0 * np.sqrt(3.0))
 
+    @pytest.mark.parametrize(
+        "u",
+        [1e200 * np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]])],
+        ids=["overflow", "nan", "inf"],
+    )
+    def test_non_finite_residual_is_not_unitary(self, u):
+        # U^H U - I is NaN here, and NaN > tol is False
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitaryError) as err:
+            conjugation_from_unitary(u)
+        assert err.value.residual == np.inf
+
 
 class TestCoefficientMatrix:
     """Column n of the linear factor holds the expansion coefficients of C(z^n)."""

@@ -377,6 +377,11 @@ class TestRecordLines:
         assert [k for k, _ in dict(pairs)["report"]] == sorted(report_to_json(record.report))
         assert keys(json.loads(line)) == keys(record_to_json(record))
 
+    @pytest.mark.parametrize("mode", EXPLORE_MODES)
+    def test_mode_names_are_their_own_json_text(self, mode):
+        # the template writes a mode name unescaped between quotes
+        assert json.dumps(mode) == f'"{mode}"'
+
     @pytest.mark.parametrize("column", ["tol", "residual", "onesided", "entrywise"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_raise_as_in_json_line(self, column, value):
