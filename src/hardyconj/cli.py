@@ -8,19 +8,17 @@ explore runs randomized criterion-versus-oracle probes.
 Exit codes: 0 = ran and the verdict is positive, 1 = ran and the verdict
 is negative, 2 = input or usage error.
 
-Reports are printed to stdout with a runtime_ms field; files written via
---out omit runtime_ms so identical inputs and seeds produce byte-identical
-files.
+Reports are printed to stdout with a runtime_ms field. Files written via
+--out omit it, so identical inputs and seeds give byte-identical files, and
+replace the old file only when the command completes (jsonio._replacing).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
-import os
 import sys
 import time
 import warnings
@@ -95,10 +93,9 @@ def _positive_int(text: str) -> int:
 
 
 def _emit_report(report: dict, out, started: float) -> None:
-    # encoded once, before --out is opened: a report that cannot be written leaves no file
     text = jsonio.canonical_json(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with jsonio._replacing(out) as fh:
             fh.write(text)
     # stdout adds runtime_ms at its sorted place, before the top-level schema_version
     # (a JSON string holds no newline, so no nested text matches this line)
@@ -206,26 +203,12 @@ def _cmd_explore(args) -> tuple[dict, dict, bool]:
         "mode": args.mode,
         "tol": args.tol,
     }
-    # the first block runs and is encoded before --out is opened, so an
-    # error there (a negative seed, a size numpy refuses) leaves a file
-    # already at --out as it was
-    first = next(blocks)
-    head = jsonio._record_lines(first)
     # each block's lines are written as the block finishes; the last line
     # carries the inputs so the file replays alone, and no path, so the
     # same run written elsewhere gives the same bytes
-    fh = open(args.out, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(head)
-            summary = _summarize_blocks(itertools.chain([first], _written(blocks, fh)))
-            fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
-    except BaseException:
-        # a run that fails once --out is open leaves no partial file; a
-        # device or pipe is left alone
-        if os.path.isfile(args.out):
-            os.remove(args.out)
-        raise
+    with jsonio._replacing(args.out) as fh:
+        summary = _summarize_blocks(_written(blocks, fh))
+        fh.write(jsonio.json_line({"inputs": inputs, "summary": summary}))
     # records already streamed to --out; the summary goes to stdout
     return {**inputs, "out": str(args.out)}, summary, summary["onesided_disagreements"] == 0
 

@@ -10,8 +10,11 @@ byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -219,8 +222,37 @@ def symbol_from_json(data, max_band: int | None = None) -> LaurentSymbol:
 
 
 def save_symbol(symbol: LaurentSymbol, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``symbol``'s SymbolFile to ``path``; a failed write leaves ``path`` as it was."""
+    with _replacing(path) as fh:
         fh.write(canonical_json(symbol_to_json(symbol)))
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A text handle whose bytes replace the file at ``path`` when the block completes."""
+    mode = None
+    with contextlib.suppress(FileNotFoundError):
+        mode = os.stat(path).st_mode
+    if mode is not None and not stat.S_ISREG(mode):  # a FIFO or device is written in place
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # a symlinked path stays a link
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException as exc:  # KeyboardInterrupt included: path stays as it was
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            exc.filename = os.fspath(path)  # the path as given, not the temp name
+        raise
+    # remove, then rename (os.replace is slow on ext4): a kill between leaves the bytes at temp
+    if mode is not None:
+        os.chmod(temp, stat.S_IMODE(mode))
+        os.remove(target)
+    os.rename(temp, target)
 
 
 def _decode(text: str):

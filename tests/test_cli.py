@@ -4,9 +4,12 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hardyconj.core
+import hardyconj.jsonio
 import hardyconj.toeplitz
 from hardyconj import (
     AntilinearMap,
@@ -964,7 +968,12 @@ class TestEnvelope:
 
 
 class TestRefusedOutput:
-    """A report that cannot be written exits 2 with one error line and leaves no --out file."""
+    """A run that fails leaves --out as it was: absent, or with its old bytes and mode.
+
+    A report that cannot be written exits 2 with one error line. Every --out
+    is written to a temp file beside it and renamed in only when the command
+    completes, so no ``*.tmp`` file is left either.
+    """
 
     def test_check_symmetry_overflow(self, tmp_path, capsys, recwarn):
         symbol = tmp_path / "sym.json"
@@ -1051,13 +1060,104 @@ class TestRefusedOutput:
         def unwritable(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
 
-        monkeypatch.setattr(cli, "open", unwritable, raising=False)
+        monkeypatch.setattr(hardyconj.jsonio, "open", unwritable, raising=False)
         out_path = tmp_path / "records.jsonl"
         out_path.write_bytes(b"kept\n")
         code, _, err = run(["explore", "--trials", "3", "--out", str(out_path)], capsys)
         assert code == 2
         assert err.startswith("error: [Errno 13] Permission denied")
         assert out_path.read_bytes() == b"kept\n"
+
+    def test_explore_late_overflow_leaves_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        # trials from 20 on overflow, in the second block of 16
+        draws = hardyconj.toeplitz._block_draws
+
+        def overflowing(trials, *args):
+            modes, turns, w, coeffs = draws(trials, *args)
+            late = np.array([t >= 20 for t in trials])
+            coeffs[late, 0], coeffs[late, -1] = 1e308, -1e308
+            return modes, turns, w, coeffs
+
+        monkeypatch.setattr(hardyconj.toeplitz, "_block_draws", overflowing)
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"previous results\n")
+        code, out, err = run(
+            ["explore", "--n", "4096", "--band", "8", "--trials", "40", "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert out_path.read_bytes() == b"previous results\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_explore_interrupted_in_block_two_leaves_an_existing_file(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        draws = hardyconj.toeplitz._block_draws
+        blocks = []
+
+        def interrupted(trials, *args):
+            blocks.append(trials)
+            if len(blocks) == 2:
+                raise KeyboardInterrupt
+            return draws(trials, *args)
+
+        monkeypatch.setattr(hardyconj.toeplitz, "_block_draws", interrupted)
+        out_path = tmp_path / "records.jsonl"
+        out_path.write_bytes(b"previous results\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["explore", "--n", "4096", "--band", "8", "--trials", "40",
+                  "--out", str(out_path)])
+        assert len(blocks) == 2
+        assert out_path.read_bytes() == b"previous results\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        out_path.write_bytes(b"old\n")
+        out_path.chmod(0o600)
+        argv = ["check-conjugation", "--kind", "j", "--n", "4", "--out", str(out_path)]
+        assert run(argv, capsys)[0] == 0
+        assert stat.S_IMODE(out_path.stat().st_mode) == 0o600
+        assert json.loads(out_path.read_text())["command"] == "check-conjugation"
+
+    def test_symlinked_out_stays_a_link(self, tmp_path, capsys):
+        target = tmp_path / "real" / "report.json"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        link = tmp_path / "report.json"
+        link.symlink_to(target)
+        argv = ["check-conjugation", "--kind", "j", "--n", "4", "--out", str(link)]
+        assert run(argv, capsys)[0] == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert json.loads(target.read_text())["command"] == "check-conjugation"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_fifo_out_is_written_in_place(self, tmp_path, capsys):
+        argv = ["explore", "--trials", "5", "--n", "8", "--band", "2", "--out"]
+        file_path, fifo = tmp_path / "records.jsonl", tmp_path / "records.fifo"
+        run([*argv, str(file_path)], capsys)
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        run([*argv, str(fifo)], capsys)
+        reader.join(timeout=60)
+        assert got == [file_path.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["check-conjugation", "--kind", "j", "--n", "4"],
+        ["gen-symbol"],
+        ["explore", "--trials", "3", "--n", "8", "--band", "2"],
+    ])
+    def test_out_in_a_missing_directory_names_the_path_as_given(self, argv, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([*argv, "--out", "missing/out.json"], capsys)
+        assert_one_line_usage_error(code, err)
+        assert err == "error: [Errno 2] No such file or directory: 'missing/out.json'\n"
+        assert out == ""
 
     def test_check_conjugation_keeps_numpys_warnings(self, capsys, monkeypatch):
         # only commands whose reports carry computed floats ignore them
