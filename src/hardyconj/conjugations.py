@@ -330,7 +330,8 @@ class ConjugationCert:
     """Residuals of the two conjugation axioms and of the factor structure.
 
     ``isometry_residual`` and ``involution_residual`` come from seeded
-    random sampling; ``a_unitarity_residual`` = ||A*A - I||_F and
+    random unit vectors, normalized from uniform coordinates (see
+    :func:`verify_conjugation`); ``a_unitarity_residual`` = ||A*A - I||_F and
     ``a_symmetry_residual`` = ||A - A^T||_F are deterministic matrix
     checks. A check that overflows to NaN reports inf. ``passed`` is True
     iff all four are at most ``tol``.
@@ -366,7 +367,16 @@ def verify_conjugation(
     factor is checked from its vector, without forming the N x N matrix.
 
     The sampled axioms use ``trials`` pairs (f, g) of random unit vectors.
-    They are drawn, mapped and reduced as (k, N) stacks of at most
+    Each real and imaginary coordinate is uniform on [-0.5, 0.5) before
+    normalization: ``Generator.random`` minus 0.5, which is exact. The
+    check needs generic vectors, not rotation-invariant ones: for a map that
+    is not isometric or not involutive, the pairs whose residual is zero
+    form a set of measure zero, so any draw with a density on C^N catches
+    it with probability one, and a uniform draw costs a fraction of a
+    Gaussian one. (The Haar unitary of :func:`random_unitary` does need
+    Gaussian entries, and keeps them.)
+
+    The pairs are drawn, mapped and reduced as (k, N) stacks of at most
     ``max(1, _STACK_ENTRIES // N)`` pairs at a time, so a large ``trials``
     never allocates more than one block. The draws are the stream of one
     pair after another (real and imaginary part of f, then of g), whatever
@@ -390,7 +400,8 @@ def verify_conjugation(
     involution = 0.0
     step = max(1, _STACK_ENTRIES // n)
     for start in range(0, trials, step):
-        x = rng.standard_normal((min(step, trials - start), 4, n))
+        x = rng.random((min(step, trials - start), 4, n))
+        x -= 0.5
         f = x[:, 0] + 1j * x[:, 1]
         g = x[:, 2] + 1j * x[:, 3]
         f /= np.linalg.norm(f, axis=1, keepdims=True)

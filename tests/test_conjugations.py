@@ -1,5 +1,6 @@
 """Unit tests for the conjugation constructors and their certification."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -58,7 +59,7 @@ def per_pair_samples(op, trials, seed):
     rng = np.random.default_rng(seed)
 
     def unit_vector():
-        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        v = (rng.random(op.dim) - 0.5) + 1j * (rng.random(op.dim) - 0.5)
         return v / np.linalg.norm(v)
 
     isometry = involution = 0.0
@@ -552,6 +553,78 @@ class TestVerifyConjugation:
             cert = verify_conjugation(op, trials=5, seed=1)
             assert cert.passed, name
             assert cert.a_symmetry_residual == 0.0, name
+
+
+def gaussian_samples(op, trials, seed):
+    """Sampled residuals (isometry, involution) under Gaussian coordinates.
+
+    The draw the certificate made up to version 0.7.0, in its layout: one
+    standard normal (trials, 4, N) block of Re f, Im f, Re g, Im g per pair.
+    """
+    x = np.random.default_rng(seed).standard_normal((trials, 4, op.dim))
+    f = x[:, 0] + 1j * x[:, 1]
+    g = x[:, 2] + 1j * x[:, 3]
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    cf = op(f)
+    gap = np.sum(cf * np.conj(op(g)) - g * np.conj(f), axis=1)
+    return float(np.max(np.abs(gap))), float(np.max(np.linalg.norm(op(cf) - f, axis=1)))
+
+
+class TestDetectionParity:
+    """Uniform sample coordinates catch every failing map the Gaussian ones do."""
+
+    SEEDS = range(50)
+    TRIALS = 20
+    FIELDS = ("isometry_residual", "involution_residual", "a_unitarity_residual",
+              "a_symmetry_residual")
+
+    @classmethod
+    def failed(cls, cert):
+        return {field for field in cls.FIELDS if getattr(cert, field) > cert.tol}
+
+    @staticmethod
+    def failing_maps(dim):
+        rng = np.random.default_rng((5, dim))
+        gaussian = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        near_unimodular = np.ones(dim, dtype=np.complex128)
+        near_unimodular[dim // 2] = 1.0 + 1e-6
+        swap = np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]])
+        return [
+            ("scaled", AntilinearMap(2.0 * np.eye(dim))),
+            ("u - u^T", AntilinearMap(random_unitary(dim, 7) - random_unitary(dim, 7).T)),
+            ("gaussian", AntilinearMap(gaussian / dim)),
+            ("antisymmetric unitary", AntilinearMap(swap)),
+            ("modulus 1 + 1e-6", AntilinearMap(near_unimodular)),
+        ]
+
+    @pytest.mark.parametrize("dim", [4, 64, 256])
+    def test_failing_maps_fail_on_the_gaussian_fields(self, dim):
+        for name, op in self.failing_maps(dim):
+            for seed in self.SEEDS:
+                cert = verify_conjugation(op, trials=self.TRIALS, seed=seed)
+                assert not cert.passed, (name, seed)
+                isometry, involution = gaussian_samples(op, self.TRIALS, seed)
+                gaussian = dataclasses.replace(
+                    cert, isometry_residual=isometry, involution_residual=involution
+                )
+                assert self.failed(cert) == self.failed(gaussian), (name, seed)
+
+    @pytest.mark.parametrize("dim", [4, 64, 256])
+    def test_valid_families_pass_at_every_seed(self, dim):
+        rng = np.random.default_rng((11, dim))
+        ops = [
+            ("j", canonical_conjugation(dim)),
+            ("lambda", rotation_conjugation(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)), dim)),
+            ("alpha", phase_conjugation(np.exp(1j * random_angles(rng, dim)))),
+            ("zeta", sequence_conjugation(np.exp(1j * random_angles(rng, dim - 1)))),
+        ]
+        for seed in self.SEEDS:
+            # as check-conjugation --kind unitary-seed --seed s draws U and the pairs
+            unitary = conjugation_from_unitary(random_unitary(dim, seed))
+            for name, op in [*ops, ("unitary-seed", unitary)]:
+                cert = verify_conjugation(op, trials=self.TRIALS, seed=(seed, 1))
+                assert cert.passed, (name, seed)
 
 
 class TestFactorDiagonal:
